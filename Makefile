@@ -5,9 +5,10 @@ GO ?= go
 
 # RACE_PKGS covers the packages that exercise the concurrent code paths:
 # the parallel matmul kernels and the shared blocked/packed gemm kernels they
-# drive from row-sharded workers, data-parallel training / no-grad parallel
-# evaluation (including the batched grid-sweep fan-out), the analytical
-# baseline used by the same experiments, the gateway (which spawns
+# drive from row-sharded workers, data-parallel training and the compiled
+# inference snapshot shared by concurrent sweeps, the optimizer (whose
+# isolation test trains one model while another goroutine decides on a
+# second), the analytical baseline used by the same experiments, the gateway (which spawns
 # batching/control/retry goroutines under test, and since the sharding PR
 # pools waiters across shard mutexes and a lock-free exchange slot), the
 # fault-injection layer (whose FaultyBackend counter is hit from concurrent
@@ -22,7 +23,7 @@ GO ?= go
 # all run concurrent goroutines), and the experiments lab (whose
 # cell-parallel figures must stay invariant under the detector's
 # scheduling perturbation).
-RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/analysis/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
+RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/optimizer/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/analysis/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
 
 # Per-package coverage floors enforced by `make cover` (see the cover target).
 COVER_FLOOR_GATEWAY = 80
@@ -33,12 +34,15 @@ COVER_FLOOR_FLEET   = 80
 .PHONY: verify fmtcheck lint test race bench fuzz chaos cover loadgen-smoke replay-smoke sweep-smoke
 
 ## verify: tier-1 gate — formatting, vet, the deepbatlint pass, full build,
-## and the full test suite. Every PR must leave this green.
+## and the full test suite, then the packages whose behaviour has depended on
+## the core count (gateway sharding, inference fan-out, Decide) again at
+## GOMAXPROCS 1, 2 and 4. Every PR must leave this green.
 verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/lint ./...
 	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/
 
 ## fmtcheck: fail (listing the files) if any file is not gofmt-clean.
 fmtcheck:

@@ -33,8 +33,8 @@
 //     operations. The dynamic counterpart is the AllocsPerRun gates in
 //     cmd/bench; this rule also covers the cold branches a benchmark never
 //     exercises.
-//   - pool-ownership: values obtained from a pool Get (tensor.ScratchPool,
-//     the gateway waiter/batch free-lists) are tracked through the
+//   - pool-ownership: values obtained from a pool Get (sync.Pool, the
+//     gateway waiter/batch free-lists) are tracked through the
 //     function: double-Put, use-after-Put, and storing a live pooled value
 //     to the heap are errors — the static counterpart of the poolcheck
 //     build tag's runtime poisoning.

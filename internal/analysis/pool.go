@@ -24,7 +24,7 @@ import (
 //     return or carry a reasoned //lint:allow waiver.
 //
 // Pools are recognized structurally: Get/Put methods on a named type whose
-// name ends in "Pool" (tensor.ScratchPool, sync.Pool, fixture pools), plus
+// name ends in "Pool" (sync.Pool, fixture pools), plus
 // the gateway free-list functions by name (getWaiterLocked/grabSliceLocked
 // acquire; putWaiter/recycleBatch/recycleBatchLocked release). Function
 // parameters are not tracked — pool internals and helpers that receive a

@@ -10,7 +10,9 @@
 //   - Blocked: the fast kernel — B is packed once into contiguous column
 //     panels (the transposed-panel layout of classical GEBP blocking) and
 //     the product is computed panel by panel with a register-tiled micro
-//     kernel that keeps panelWidth accumulators live per A row.
+//     kernel that keeps panelWidth accumulators live per A row. BlockedAcc
+//     is the same kernel resuming from the values already in dst, so one
+//     product can be split along k without changing a bit.
 //
 // Blocked is bit-identical to Naive by construction, not by tolerance: for
 // every output cell it performs the exact same sequence of IEEE-754
@@ -148,6 +150,72 @@ func mulPanel8(dst, a, panel []float64) {
 // small stack array).
 func mulPanelW(dst, a, panel []float64, w int) {
 	var acc [panelWidth]float64
+	for j, av := range a {
+		if av == 0 {
+			continue
+		}
+		p := panel[j*w : j*w+w]
+		for cc, pv := range p {
+			acc[cc] += av * pv
+		}
+	}
+	copy(dst, acc[:w])
+}
+
+// BlockedAcc continues an accumulation: for rows [lo, hi) every output cell
+// resumes from the value already in dst and adds a[i][j]*b[j][c] over j in
+// ascending order, skipping zero A entries. When dst holds Blocked(A1, B1),
+// BlockedAcc(dst, A2, B2) leaves exactly the bits Blocked([A1|A2], [B1;B2])
+// would — the per-cell operation sequence is the same, only split across two
+// calls — which is what lets a caller share the A1·B1 partial product
+// between rows that differ only in A2.
+//
+//deepbat:hotpath
+func BlockedAcc(dst, a, packed []float64, lo, hi, k, m int) {
+	for c0 := 0; c0 < m; c0 += panelWidth {
+		w := m - c0
+		if w > panelWidth {
+			w = panelWidth
+		}
+		panel := packed[c0*k : c0*k+w*k]
+		if w == panelWidth {
+			for i := lo; i < hi; i++ {
+				accPanel8(dst[i*m+c0:i*m+c0+panelWidth], a[i*k:i*k+k], panel)
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				accPanelW(dst[i*m+c0:i*m+c0+w], a[i*k:i*k+k], panel, w)
+			}
+		}
+	}
+}
+
+// accPanel8 is mulPanel8 with the accumulators seeded from dst.
+func accPanel8(dst, a, panel []float64) {
+	s0, s1, s2, s3 := dst[0], dst[1], dst[2], dst[3]
+	s4, s5, s6, s7 := dst[4], dst[5], dst[6], dst[7]
+	for j, av := range a {
+		if av == 0 {
+			continue
+		}
+		p := panel[j*panelWidth : j*panelWidth+panelWidth : j*panelWidth+panelWidth]
+		s0 += av * p[0]
+		s1 += av * p[1]
+		s2 += av * p[2]
+		s3 += av * p[3]
+		s4 += av * p[4]
+		s5 += av * p[5]
+		s6 += av * p[6]
+		s7 += av * p[7]
+	}
+	dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
+	dst[4], dst[5], dst[6], dst[7] = s4, s5, s6, s7
+}
+
+// accPanelW is mulPanelW with the accumulators seeded from dst.
+func accPanelW(dst, a, panel []float64, w int) {
+	var acc [panelWidth]float64
+	copy(acc[:w], dst)
 	for j, av := range a {
 		if av == 0 {
 			continue

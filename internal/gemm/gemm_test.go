@@ -132,6 +132,43 @@ func TestBlockedSpecialValues(t *testing.T) {
 	}
 }
 
+// TestBlockedAccSplitsAlongK pins BlockedAcc's contract: a product split
+// along k into Blocked then BlockedAcc is bit-identical to the unsplit
+// product, for every shape, every split point, and sparse inputs.
+func TestBlockedAccSplitsAlongK(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, s := range raggedShapes {
+		for _, frac := range []float64{0, 0.3} {
+			a := randMat(rng, s.n*s.k)
+			b := randMat(rng, s.k*s.m)
+			sparsify(rng, a, frac)
+			want := make([]float64, s.n*s.m)
+			Naive(want, a, b, 0, s.n, s.k, s.m)
+
+			for k1 := 0; k1 <= s.k; k1++ {
+				k2 := s.k - k1
+				a1, a2 := make([]float64, s.n*k1), make([]float64, s.n*k2)
+				for i := 0; i < s.n; i++ {
+					copy(a1[i*k1:(i+1)*k1], a[i*s.k:i*s.k+k1])
+					copy(a2[i*k2:(i+1)*k2], a[i*s.k+k1:(i+1)*s.k])
+				}
+				top, bot := make([]float64, PackedLen(k1, s.m)), make([]float64, PackedLen(k2, s.m))
+				Pack(top, b[:k1*s.m], k1, s.m)
+				Pack(bot, b[k1*s.m:], k2, s.m)
+				got := make([]float64, s.n*s.m)
+				Blocked(got, a1, top, 0, s.n, k1, s.m)
+				BlockedAcc(got, a2, bot, 0, s.n, k2, s.m)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("shape %v sparsity %g split %d: cell %d = %v, want %v (bitwise)",
+							s, frac, k1, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPackLayout pins the panel layout documented on Pack.
 func TestPackLayout(t *testing.T) {
 	const k, m = 3, 10 // one full tile of 8, one ragged tile of 2

@@ -60,16 +60,6 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.AddRow(tensor.MatMul(x, l.W), l.B)
 }
 
-// ForwardInto applies the layer tape-free into a preallocated dst (n × out),
-// bit-identical to Forward's values row for row. NoGrad only: it writes
-// through dst in place, which must never happen to a tensor on a tape.
-//
-//deepbat:nograd
-func (l *Linear) ForwardInto(dst, x *tensor.Tensor) *tensor.Tensor {
-	tensor.MatMulInto(dst, x, l.W)
-	return tensor.AddRowInPlace(dst, l.B)
-}
-
 // Params implements Module.
 func (l *Linear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 
@@ -102,24 +92,6 @@ func NewFeedForward(rng *rand.Rand, in, hidden, out int) *FeedForward {
 // Forward applies the block row-wise.
 func (f *FeedForward) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return f.L2.Forward(tensor.ReLU(f.L1.Forward(x)))
-}
-
-// ForwardScratch applies the block tape-free, drawing the hidden activation
-// and the output from pool. The returned (n × Out) tensor is pool-owned: the
-// caller must hand it back with pool.Put (after copying anything it needs)
-// before the pool is reused for conflicting work. Values are bit-identical
-// to Forward's. NoGrad only.
-//
-//deepbat:nograd
-func (f *FeedForward) ForwardScratch(pool *tensor.ScratchPool, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Rows()
-	h := pool.Get(n, f.Hidden)
-	f.L1.ForwardInto(h, x)
-	tensor.ReLUInPlace(h)
-	out := pool.Get(n, f.Out)
-	f.L2.ForwardInto(out, h)
-	pool.Put(h)
-	return out
 }
 
 // Params implements Module.
@@ -254,6 +226,15 @@ func (p *PositionalEncoding) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	sub := tensor.FromData(p.table.Data[:l*d], l, d)
 	return tensor.Add(x, sub)
+}
+
+// Rows returns the first l rows of the table (l × Dim, row-major). The slice
+// aliases the table and must be treated as read-only.
+func (p *PositionalEncoding) Rows(l int) []float64 {
+	if l > p.MaxLen {
+		panic(fmt.Sprintf("nn: sequence length %d exceeds max %d", l, p.MaxLen))
+	}
+	return p.table.Data[:l*p.Dim]
 }
 
 // Params implements Module (the table is constant).

@@ -394,34 +394,6 @@ func TestMultiHeadAttentionSkipsScoreRecordingUnderNoGrad(t *testing.T) {
 	}
 }
 
-// TestForwardIntoMatchesForward pins the tape-free row-batched Linear and
-// FeedForward forwards to their allocating counterparts bit for bit.
-func TestForwardIntoMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	lin := NewLinear(rng, 5, 7)
-	ff := NewFeedForward(rng, 5, 11, 3)
-	x := tensor.Randn(rng, 1, 13, 5)
-
-	wantLin := lin.Forward(x)
-	wantFF := ff.Forward(x)
-	var pool tensor.ScratchPool
-	tensor.NoGrad(func() {
-		gotLin := lin.ForwardInto(pool.Get(13, 7), x)
-		for i := range wantLin.Data {
-			if math.Float64bits(gotLin.Data[i]) != math.Float64bits(wantLin.Data[i]) {
-				t.Fatalf("ForwardInto cell %d = %v, want %v (bitwise)", i, gotLin.Data[i], wantLin.Data[i])
-			}
-		}
-		gotFF := ff.ForwardScratch(&pool, x)
-		for i := range wantFF.Data {
-			if math.Float64bits(gotFF.Data[i]) != math.Float64bits(wantFF.Data[i]) {
-				t.Fatalf("ForwardScratch cell %d = %v, want %v (bitwise)", i, gotFF.Data[i], wantFF.Data[i])
-			}
-		}
-		pool.Put(gotLin, gotFF)
-	})
-}
-
 // TestSetCaptureScoresRecordsUnderNoGrad checks that attention maps are
 // recorded tape-free only when explicitly requested.
 func TestSetCaptureScoresRecordsUnderNoGrad(t *testing.T) {

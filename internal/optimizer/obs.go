@@ -9,6 +9,7 @@ var sweepDurationBounds = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2
 
 // decideMetrics holds the series Decide maintains when Optimizer.Obs is set.
 type decideMetrics struct {
+	reg        *obs.Registry // the registry the handles below belong to
 	decisions  *obs.Counter
 	evaluated  *obs.Counter
 	rejected   *obs.Counter
@@ -20,11 +21,27 @@ type decideMetrics struct {
 	sweepDur   *obs.Histogram
 }
 
-func newDecideMetrics(reg *obs.Registry) (*decideMetrics, error) {
+// obsMetrics returns the metric handles for o.Obs (nil when unset),
+// registering them on the first decision against a registry and reusing them
+// until Obs points elsewhere.
+func (o *Optimizer) obsMetrics() (*decideMetrics, error) {
+	reg := o.Obs
 	if reg == nil {
 		return nil, nil
 	}
-	m := &decideMetrics{}
+	if m := o.metrics.Load(); m != nil && m.reg == reg {
+		return m, nil
+	}
+	m, err := newDecideMetrics(reg)
+	if err != nil {
+		return nil, err
+	}
+	o.metrics.Store(m)
+	return m, nil
+}
+
+func newDecideMetrics(reg *obs.Registry) (*decideMetrics, error) {
+	m := &decideMetrics{reg: reg}
 	var err error
 	counter := func(dst **obs.Counter, name, help string) {
 		if err == nil {

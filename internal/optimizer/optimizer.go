@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/obs"
@@ -42,6 +44,43 @@ type Optimizer struct {
 	Clock obs.Clock
 	// Recorder, when non-nil, receives one "decide" event per grid search.
 	Recorder *obs.Recorder
+
+	// Per-call work that only depends on fields above, memoised against the
+	// values it was derived from: Grid.Configs() against the three axes, the
+	// metric handles against the Obs registry. Either is rebuilt when its
+	// source no longer matches, so assigning Grid or Obs needs no ceremony.
+	configs atomic.Pointer[gridConfigs]
+	metrics atomic.Pointer[decideMetrics]
+}
+
+// gridConfigs is Grid.Configs() together with a private copy of the grid it
+// enumerates.
+type gridConfigs struct {
+	grid lambda.Grid
+	cfgs []lambda.Config
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// candidates returns the configuration list of o.Grid, enumerating it only
+// when an axis has changed since the last call. The slice is shared across
+// calls and must not be modified.
+func (o *Optimizer) candidates() []lambda.Config {
+	g := o.Grid
+	if c := o.configs.Load(); c != nil && slices.EqualFunc(c.grid.Memories, g.Memories, sameBits) &&
+		slices.Equal(c.grid.Batches, g.Batches) && slices.EqualFunc(c.grid.TimeoutsS, g.TimeoutsS, sameBits) {
+		return c.cfgs
+	}
+	c := &gridConfigs{
+		grid: lambda.Grid{
+			Memories:  slices.Clone(g.Memories),
+			Batches:   slices.Clone(g.Batches),
+			TimeoutsS: slices.Clone(g.TimeoutsS),
+		},
+		cfgs: g.Configs(),
+	}
+	o.configs.Store(c)
+	return c.cfgs
 }
 
 // New returns an optimizer with the paper's defaults (95th percentile).
@@ -69,14 +108,15 @@ func (o *Optimizer) Decide(window []float64) (Decision, error) {
 	if len(window) == 0 {
 		return Decision{}, errors.New("optimizer: empty arrival window")
 	}
-	cfgs := o.Grid.Configs()
+	cfgs := o.candidates()
 	if len(cfgs) == 0 {
 		return Decision{}, errors.New("optimizer: empty configuration grid")
 	}
-	if _, ok := pctIndex(o.Model.Cfg, o.Pct); !ok {
+	pct, ok := pctIndex(o.Model.Cfg, o.Pct)
+	if !ok {
 		return Decision{}, fmt.Errorf("optimizer: model does not predict P%g", o.Pct)
 	}
-	met, err := newDecideMetrics(o.Obs)
+	met, err := o.obsMetrics()
 	if err != nil {
 		return Decision{}, err
 	}
@@ -96,7 +136,7 @@ func (o *Optimizer) Decide(window []float64) (Decision, error) {
 	rejected := 0
 	bestTail := math.Inf(1)
 	for i, p := range preds {
-		tail, _ := p.Percentile(o.Model.Cfg, o.Pct)
+		tail := p.Percentiles[pct]
 		if tail < bestTail {
 			bestTail, fallback = tail, i
 		}
@@ -114,9 +154,8 @@ func (o *Optimizer) Decide(window []float64) (Decision, error) {
 	}
 	d.Config = cfgs[best]
 	d.Prediction = preds[best]
-	chosenTail, _ := d.Prediction.Percentile(o.Model.Cfg, o.Pct)
 	met.observeDecision(d, rejected)
-	recordDecision(o.Recorder, d, chosenTail, rejected)
+	recordDecision(o.Recorder, d, d.Prediction.Percentiles[pct], rejected)
 	return d, nil
 }
 

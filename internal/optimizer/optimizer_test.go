@@ -9,18 +9,25 @@ import (
 	"deepbat/internal/trace"
 )
 
-func trainedModel(t *testing.T, grid lambda.Grid) *surrogate.Model {
+// buildDataset labels n (window, configuration) samples from a twitter trace.
+func buildDataset(t *testing.T, grid lambda.Grid, n int) *surrogate.Dataset {
 	t.Helper()
 	spec := trace.Spec{Name: "twitter", Hours: 2, HourSeconds: 60, Seed: 5}
 	tr := trace.MustGenerate(spec)
 	sim := qsim.New(lambda.DefaultProfile(), lambda.DefaultPricing())
 	opts := surrogate.DefaultBuildOptions(grid)
-	opts.NumSamples = 150
+	opts.NumSamples = n
 	opts.SeqLen = 16
 	ds, err := surrogate.Build(tr, sim, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ds
+}
+
+func trainedModel(t *testing.T, grid lambda.Grid) *surrogate.Model {
+	t.Helper()
+	ds := buildDataset(t, grid, 150)
 	mc := surrogate.DefaultModelConfig()
 	mc.SeqLen = 16
 	mc.Dropout = 0

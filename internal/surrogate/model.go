@@ -8,30 +8,28 @@
 // The package also provides ground-truth dataset generation from the
 // discrete-event simulator, the paper's training loop (Adam, combined
 // Huber+MAPE loss with SLO-violation penalty), fine-tuning for
-// out-of-distribution workloads, and an encode-once, row-batched fast path
-// for grid inference: the sequence is encoded a single time, all candidate
-// feature rows are stacked into one matrix, and the feature branch and
-// output head run as row-batched GEMMs against a broadcast of the shared
-// encoding (see DESIGN.md, "Batched inference & kernel blocking").
+// out-of-distribution workloads, and a compiled, tape-free inference path
+// (compiled.go): an immutable snapshot of the model with every weight matrix
+// pre-packed for the blocked GEMM kernel, run in place on a pooled arena, on
+// which a grid sweep encodes the window once, reuses the grid's cached
+// feature-branch rows and shares the encoding's half of the output head's
+// hidden product across all candidates (see DESIGN.md, "Batched inference &
+// kernel blocking").
 //
 // Training is data-parallel: the samples of each minibatch are sharded
 // across workers running weight-sharing model replicas, and the per-sample
 // gradients are reduced in a fixed sample order, so training is
 // bit-deterministic for a given seed regardless of the worker count.
-// Inference entry points (Predict, PredictGrid, EvalLoss, EvalMAPE) run
-// inside tensor.NoGrad — no autograd tape or gradient buffers are allocated
-// — encode independent sequences across goroutines, and share one batched
-// head pass. The rows of a matrix product are computed independently with a
-// fixed summation order, so batched outputs are bit-identical to the
-// per-candidate Predict path.
+// Inference entry points (Predict, PredictGrid, EvalLoss, EvalMAPE) never
+// touch the autograd engine — no tape, no tensor.NoGrad, no goroutines — and
+// are bit-identical to the tape forward the training loop runs.
 package surrogate
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/nn"
@@ -106,6 +104,11 @@ type Model struct {
 	postAtt *nn.MultiHeadAttention // Eq. 4, refinement of the pooled vector
 	featFF  *nn.FeedForward        // Eq. 5
 	outFF   *nn.FeedForward        // Eq. 6
+
+	// snap is the compiled inference snapshot (compiled.go). It re-validates
+	// itself against the live parameters on every use, so nothing that
+	// changes them has to invalidate it.
+	snap atomic.Pointer[compiled]
 }
 
 // NewModel builds a model with freshly initialized parameters.
@@ -185,11 +188,16 @@ func (m *Model) SetTrain(train bool) { m.enc.SetTrain(train) }
 // normalizeSeq log-transforms and standardizes an interarrival window into a
 // column tensor of shape (l, 1).
 func (m *Model) normalizeSeq(seq []float64) *tensor.Tensor {
-	data := make([]float64, len(seq))
+	return tensor.FromData(m.normalizeSeqInto(make([]float64, len(seq)), seq), len(seq), 1)
+}
+
+// normalizeSeqInto writes the standardized window into dst (same length as
+// seq) and returns it.
+func (m *Model) normalizeSeqInto(dst, seq []float64) []float64 {
 	for i, x := range seq {
-		data[i] = (logT(x) - m.Norm.SeqMean) / nonzero(m.Norm.SeqStd)
+		dst[i] = (logT(x) - m.Norm.SeqMean) / nonzero(m.Norm.SeqStd)
 	}
-	return tensor.FromData(data, len(seq), 1)
+	return dst
 }
 
 // logT is the log transform applied to interarrival times, guarded against
@@ -227,9 +235,24 @@ func (m *Model) normalizeFeaturesRow(dst []float64, cfg lambda.Config) {
 
 // EncodeSequence runs the sequence branch: embedding, positional encoding,
 // Transformer encoder, mean pooling, and the post-pooling multi-head
-// attention (E1 of Eq. 4). The returned (1, d) tensor stays on the tape, so
-// it can be reused for training or detached for fast grid inference.
+// attention (E1 of Eq. 4). In grad mode the returned (1, d) tensor stays on
+// the tape for training; inside tensor.NoGrad it is a detached leaf computed
+// by the compiled encoder, bit-identical to the tape's values.
 func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
+	if tensor.GradEnabled() {
+		return m.encodeTape(seq)
+	}
+	c := m.compiled(nil)
+	ws := getWorkspace(c.encodeFloats(len(seq)))
+	e1 := tensor.FromData(append([]float64(nil), m.encode(c, ws, seq)...), 1, c.dim)
+	putWorkspace(ws)
+	return e1
+}
+
+// encodeTape is the sequence branch built from autograd ops: the training
+// path, the reference the compiled encoder is tested against, and (with
+// score capture) the Fig. 14 visualization.
+func (m *Model) encodeTape(seq []float64) *tensor.Tensor {
 	if len(seq) == 0 {
 		panic("surrogate: empty sequence")
 	}
@@ -244,6 +267,16 @@ func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
 	return m.postAtt.Forward(ep, ep, ep, nil) // Eq. 4
 }
 
+// encode standardizes seq and runs the compiled sequence branch; the
+// returned encoding lives in ws, which must hold c.encodeFloats(len(seq)).
+func (m *Model) encode(c *compiled, ws *workspace, seq []float64) []float64 {
+	if len(seq) == 0 {
+		panic("surrogate: empty sequence")
+	}
+	x := m.normalizeSeqInto(ws.take(len(seq)), seq)
+	return c.encode(ws, x, !m.Cfg.DisablePostAttention)
+}
+
 // headForward combines an encoded sequence with a candidate configuration
 // and produces the scaled output vector (still on the tape).
 func (m *Model) headForward(e1 *tensor.Tensor, cfg lambda.Config) *tensor.Tensor {
@@ -251,39 +284,10 @@ func (m *Model) headForward(e1 *tensor.Tensor, cfg lambda.Config) *tensor.Tensor
 	return m.outFF.Forward(tensor.ConcatCols(e1, e2)) // Eq. 6
 }
 
-// gridScratch recycles the intermediate matrices of batched head passes
-// across sweeps; a steady-state grid sweep allocates O(1) tensors instead of
-// O(K). Safe for concurrent sweeps (sync.Pool underneath).
-var gridScratch tensor.ScratchPool
-
-// headForwardBatch is the row-batched headForward: e1Rows (n × d) holds one
-// sequence encoding per row and feats (n × 3) one standardized candidate
-// row, and the result (n × OutputDim) stacks the scaled output vectors. The
-// rows of a matrix product are computed independently with the same
-// fixed-order summation, so row i is bit-identical to
-// headForward(e1Rows[i], cfg[i]) — pinned by TestPredictGridMatchesPredict.
-// The returned tensor is owned by pool; the caller must Put it back.
-// NoGrad only.
-//
-//deepbat:nograd
-func (m *Model) headForwardBatch(pool *tensor.ScratchPool, e1Rows, feats *tensor.Tensor) *tensor.Tensor {
-	n, d := feats.Rows(), m.Cfg.EmbedDim
-	e2 := m.featFF.ForwardScratch(pool, feats) // Eq. 5, all rows at once
-	cat := pool.Get(n, 2*d)                    // rows [e1_i | e2_i], as ConcatCols builds them
-	for i := 0; i < n; i++ {
-		copy(cat.Data[i*2*d:i*2*d+d], e1Rows.Data[i*d:(i+1)*d])
-		copy(cat.Data[i*2*d+d:(i+1)*2*d], e2.Data[i*d:(i+1)*d])
-	}
-	pool.Put(e2)
-	out := m.outFF.ForwardScratch(pool, cat) // Eq. 6, all rows at once
-	pool.Put(cat)
-	return out
-}
-
-// Forward runs the full model and returns the scaled (normalized-space)
-// output tensor; used by the training loop.
+// Forward runs the full model on autograd ops and returns the scaled
+// (normalized-space) output tensor; used by the training loop.
 func (m *Model) Forward(seq []float64, cfg lambda.Config) *tensor.Tensor {
-	return m.headForward(m.EncodeSequence(seq), cfg)
+	return m.headForward(m.encodeTape(seq), cfg)
 }
 
 // Prediction is a de-normalized model output.
@@ -334,38 +338,38 @@ func (m *Model) decodeInto(out []float64, cfg lambda.Config, percs []float64) Pr
 
 // decodeRows decodes row i of the (n × OutputDim) scaled output matrix into
 // dst[i], with all percentile slices carved from one backing allocation.
-func (m *Model) decodeRows(out *tensor.Tensor, cfgs []lambda.Config, dst []Prediction) {
+func (m *Model) decodeRows(out []float64, cfgs []lambda.Config, dst []Prediction) {
 	w := m.Cfg.OutputDim()
 	np := len(m.Cfg.Percentiles)
 	backing := make([]float64, len(cfgs)*np)
 	for i, cfg := range cfgs {
-		dst[i] = m.decodeInto(out.Data[i*w:(i+1)*w], cfg, backing[i*np:(i+1)*np:(i+1)*np])
+		dst[i] = m.decodeInto(out[i*w:(i+1)*w], cfg, backing[i*np:(i+1)*np:(i+1)*np])
 	}
 }
 
-// Predict runs one sequence/configuration pair and returns physical-unit
-// predictions. It runs tape-free: inference never backpropagates, so no
-// autograd state is allocated.
+// Predict runs one sequence/configuration pair on the compiled path and
+// returns physical-unit predictions.
 //
 //deepbat:nograd
 func (m *Model) Predict(seq []float64, cfg lambda.Config) Prediction {
-	var p Prediction
-	tensor.NoGrad(func() {
-		out := m.Forward(seq, cfg)
-		p = m.decode(out.Data, cfg)
-	})
+	c := m.compiled(nil)
+	ws := getWorkspace(c.encodeFloats(len(seq)) + 3 + c.headFloats(1))
+	e1 := m.encode(c, ws, seq)
+	feats := ws.take(3)
+	m.normalizeFeaturesRow(feats, cfg)
+	p := m.decode(c.headRows(ws, e1, feats, 1), cfg)
+	putWorkspace(ws)
 	return p
 }
 
 // PredictGrid encodes the sequence once and evaluates every candidate
 // configuration against the shared encoding — the fast path that lets
-// DeepBAT sweep the whole grid in milliseconds (Section III-D/IV-F). The
-// sweep runs tape-free and row-batched: all K candidate feature rows are
-// stacked into one (K, 3) matrix, the feature branch and output head run as
-// row-batched GEMMs against a broadcast of the shared encoding, and all K
-// predictions decode from one output matrix. Intermediates come from a
-// scratch pool, so a steady-state sweep allocates O(1) tensors instead of
-// O(K). Each output row is bit-identical to the per-candidate Predict path.
+// DeepBAT sweep the whole grid in well under a millisecond (Section
+// III-D/IV-F). The feature-branch rows of cfgs are cached on the compiled
+// snapshot (they do not depend on the window), and the encoding's half of
+// the head's hidden product is computed once for all K candidates; only the
+// two returned slices are allocated. Each output row is bit-identical to the
+// per-candidate Predict path and to the tape forward.
 //
 //deepbat:nograd
 func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
@@ -373,57 +377,11 @@ func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
 	if len(cfgs) == 0 {
 		return out
 	}
-	tensor.NoGrad(func() {
-		e1 := m.EncodeSequence(seq)
-		k, d := len(cfgs), m.Cfg.EmbedDim
-		e1Rows := gridScratch.Get(k, d)
-		feats := gridScratch.Get(k, 3)
-		for i, cfg := range cfgs {
-			copy(e1Rows.Data[i*d:(i+1)*d], e1.Data)
-			m.normalizeFeaturesRow(feats.Data[i*3:(i+1)*3], cfg)
-		}
-		o := m.headForwardBatch(&gridScratch, e1Rows, feats)
-		gridScratch.Put(e1Rows, feats)
-		m.decodeRows(o, cfgs, out)
-		gridScratch.Put(o)
-	})
+	c := m.compiled(cfgs)
+	ws := getWorkspace(c.encodeFloats(len(seq)) + c.headFloats(len(cfgs)))
+	m.decodeRows(c.headGrid(ws, m.encode(c, ws, seq)), cfgs, out)
+	putWorkspace(ws)
 	return out
-}
-
-// parallelFor runs fn(i) for every i in [0, n) across GOMAXPROCS contiguous
-// chunks. fn must only write state owned by index i. With a single processor
-// (or n <= 1) it degenerates to a plain loop with no goroutine overhead.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // AttentionScores runs the sequence branch and returns, per sequence
@@ -443,7 +401,7 @@ func (m *Model) AttentionScores(seq []float64) []float64 {
 		att := m.enc.Layers[0].Att
 		att.SetCaptureScores(true)
 		defer att.SetCaptureScores(false)
-		m.EncodeSequence(seq)
+		m.encodeTape(seq)
 		for _, h := range att.LastScores() {
 			for r := 0; r < h.Rows(); r++ {
 				for c := 0; c < h.Cols(); c++ {

@@ -274,57 +274,59 @@ func (m *Model) FineTune(data *Dataset, cfg TrainConfig) (*History, error) {
 	return m.Train(data, nil, cfg)
 }
 
-// forwardRows encodes every sample of d concurrently (sequence encodes are
-// independent), stacks the encodings and standardized feature rows, and runs
-// one batched head pass, returning the (N × OutputDim) scaled output matrix.
-// The result is owned by gridScratch; the caller must Put it back. Row i is
-// bit-identical to Forward(d.Samples[i]). Must run inside tensor.NoGrad.
-func (m *Model) forwardRows(d *Dataset) *tensor.Tensor {
-	n, dim := d.Len(), m.Cfg.EmbedDim
-	e1Rows := gridScratch.Get(n, dim)
-	feats := gridScratch.Get(n, 3)
-	parallelFor(n, func(i int) {
-		s := d.Samples[i]
-		e := m.EncodeSequence(s.Seq)
-		copy(e1Rows.Data[i*dim:(i+1)*dim], e.Data)
-		m.normalizeFeaturesRow(feats.Data[i*3:(i+1)*3], s.Config)
-	})
-	out := m.headForwardBatch(&gridScratch, e1Rows, feats)
-	gridScratch.Put(e1Rows, feats)
+// forwardRows runs the compiled path over every sample of d — one encode per
+// sample, then one batched head pass — and returns the (N × OutputDim) scaled
+// output matrix. Row i is bit-identical to Forward(d.Samples[i]).
+func (m *Model) forwardRows(d *Dataset) []float64 {
+	n, maxLen := d.Len(), 0
+	for _, s := range d.Samples {
+		if len(s.Seq) > maxLen {
+			maxLen = len(s.Seq)
+		}
+	}
+	c := m.compiled(nil)
+	ws := getWorkspace(n*(c.dim+3) + c.encodeFloats(maxLen) + c.headFloats(n))
+	e1, feats := ws.take(n*c.dim), ws.take(n*3)
+	for i, s := range d.Samples {
+		mark := ws.mark()
+		copy(e1[i*c.dim:(i+1)*c.dim], m.encode(c, ws, s.Seq))
+		ws.release(mark)
+		m.normalizeFeaturesRow(feats[i*3:(i+1)*3], s.Config)
+	}
+	out := append([]float64(nil), c.headRows(ws, e1, feats, n)...)
+	putWorkspace(ws)
 	return out
 }
 
 // EvalLoss computes the mean combined loss over a dataset without updating
-// parameters. The pass is tape-free and batched (one head GEMM for the whole
-// dataset); per-sample losses are reduced in sample order, so the result is
-// deterministic and bit-identical to the per-sample evaluation it replaced.
-//
-//deepbat:nograd
+// parameters. The forward pass is the compiled one (one head GEMM for the
+// whole dataset); per-sample losses are reduced in sample order, so the
+// result is deterministic and bit-identical to the per-sample evaluation.
+// The loss itself is the training loss's tensor ops over detached leaves:
+// nothing requires grad, so no gradient storage is built and — unlike a
+// tensor.NoGrad scope — nothing process-wide is touched.
 func (m *Model) EvalLoss(d *Dataset, cfg TrainConfig) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
+	out := m.forwardRows(d)
+	w := m.Cfg.OutputDim()
 	var total float64
-	tensor.NoGrad(func() {
-		out := m.forwardRows(d)
-		w := m.Cfg.OutputDim()
-		for i, s := range d.Samples {
-			pred := tensor.FromData(out.Data[i*w:(i+1)*w], w)
-			target := tensor.FromData(m.scaleTarget(s.Target), len(s.Target))
-			weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
-			l := loss.Combined(pred, target, cfg.Loss, weights)
-			//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; bit equality skips a no-op Scale
-			if wgt := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); wgt != 1 {
-				l = tensor.Scale(l, wgt)
-			}
-			total += l.Item()
+	for i, s := range d.Samples {
+		pred := tensor.FromData(out[i*w:(i+1)*w], w)
+		target := tensor.FromData(m.scaleTarget(s.Target), len(s.Target))
+		weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
+		l := loss.Combined(pred, target, cfg.Loss, weights)
+		//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; bit equality skips a no-op Scale
+		if wgt := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); wgt != 1 {
+			l = tensor.Scale(l, wgt)
 		}
-		gridScratch.Put(out)
-	})
+		total += l.Item()
+	}
 	return total / float64(d.Len())
 }
 
-// predictAll runs tape-free batched predictions for every sample, returning
+// predictAll runs compiled batched predictions for every sample, returning
 // them in sample order.
 //
 //deepbat:nograd
@@ -333,15 +335,11 @@ func (m *Model) predictAll(d *Dataset) []Prediction {
 	if d.Len() == 0 {
 		return preds
 	}
-	tensor.NoGrad(func() {
-		out := m.forwardRows(d)
-		cfgs := make([]lambda.Config, d.Len())
-		for i, s := range d.Samples {
-			cfgs[i] = s.Config
-		}
-		m.decodeRows(out, cfgs, preds)
-		gridScratch.Put(out)
-	})
+	cfgs := make([]lambda.Config, d.Len())
+	for i, s := range d.Samples {
+		cfgs[i] = s.Config
+	}
+	m.decodeRows(m.forwardRows(d), cfgs, preds)
 	return preds
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -255,5 +256,60 @@ func TestShareData(t *testing.T) {
 	Backward(SumAll(Mul(s, s)))
 	if a.Grad[0] != 1 {
 		t.Fatalf("original gradient clobbered: %v", a.Grad)
+	}
+}
+
+// TestMatMulBlockedDispatchBitIdentical drives MatMul through the blocked
+// kernel (sizes above gemm.BlockedThreshold) and checks the result against
+// the retained naive reference kernel bit for bit, on shapes whose column
+// count leaves a ragged panel.
+func TestMatMulBlockedDispatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for _, s := range []struct{ n, k, m int }{
+		{40, 40, 40},   // full + ragged tiles, just above threshold
+		{33, 65, 31},   // every dimension odd
+		{128, 16, 128}, // wide, small inner dim
+		{64, 64, 64},
+	} {
+		a := Randn(rng, 1, s.n, s.k)
+		b := Randn(rng, 1, s.k, s.m)
+		// Sparsify to exercise the skip-on-zero contract.
+		for i := range a.Data {
+			if rng.Float64() < 0.25 {
+				a.Data[i] = 0
+			}
+		}
+		want := make([]float64, s.n*s.m)
+		matmulRows(want, a.Data, b.Data, 0, s.n, s.k, s.m)
+		got := MatMul(a, b)
+		for i := range want {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("shape %v: cell %d = %v, want %v (bitwise)", s, i, got.Data[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMatMulAllocBudget guards the allocation profile of the hot kernel: a
+// steady-state 256x256 NoGrad MatMul must stay within a small constant
+// number of allocations per op (output data + tensor bookkeeping; the pack
+// scratch is pooled). Regressions here silently erode the grid-sweep wins.
+func TestMatMulAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; alloc budget is not meaningful")
+	}
+	rng := rand.New(rand.NewSource(53))
+	a := Randn(rng, 1, 256, 256)
+	b := Randn(rng, 1, 256, 256)
+	var allocs float64
+	NoGrad(func() {
+		allocs = testing.AllocsPerRun(10, func() {
+			MatMul(a, b)
+		})
+	})
+	// 1 output data slice + tensor struct + shape slice, plus pool slack.
+	const budget = 8
+	if allocs > budget {
+		t.Fatalf("MatMul(256x256) allocates %.1f/op, budget %d", allocs, budget)
 	}
 }
