@@ -8,9 +8,9 @@ GO ?= go
 # drive from row-sharded workers, data-parallel training and the compiled
 # inference snapshot shared by concurrent sweeps, the optimizer (whose
 # isolation test trains one model while another goroutine decides on a
-# second), the analytical baseline used by the same experiments, the gateway (which spawns
-# batching/control/retry goroutines under test, and since the sharding PR
-# pools waiters across shard mutexes and a lock-free exchange slot), the
+# second), the analytical baseline used by the same experiments, the gateway (whose
+# batch timers and control loop run on their own goroutines under test, and
+# which pools waiters across shard mutexes and a lock-free exchange slot), the
 # fault-injection layer (whose FaultyBackend counter is hit from concurrent
 # batch executions), the observability registry/recorder hammered from many
 # goroutines, the load generator's closed-loop worker pool, and the analysis
@@ -31,7 +31,7 @@ COVER_FLOOR_FAULT   = 90
 COVER_FLOOR_REPLAY  = 80
 COVER_FLOOR_FLEET   = 80
 
-.PHONY: verify fmtcheck lint test race bench fuzz chaos cover loadgen-smoke replay-smoke sweep-smoke
+.PHONY: verify fmtcheck lint test race fuzz chaos cover loadgen-smoke replay-smoke sweep-smoke
 
 ## verify: tier-1 gate — formatting, vet, the deepbatlint pass, full build,
 ## and the full test suite, then the packages whose behaviour has depended on
@@ -65,15 +65,6 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -tags poolcheck ./internal/gateway/
 	$(GO) test -race -run 'WorkerInvariance' ./internal/experiments/
-
-## bench: regenerate the benchmark regression snapshot (BENCH_5.json),
-## including speedup/alloc ratios against the previous snapshot. Asserts the
-## instrumented-training overhead budget, the zero-alloc pooled admit path,
-## the sharded-dispatch speedup floor, and the sweep engine's byte-identity
-## (plus its 8-worker speedup floor on 8+ CPU machines); non-zero exit on
-## violation.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_5.json -baseline BENCH_4.json
 
 ## loadgen-smoke: CI smoke check for the serving path — a short closed-loop
 ## saturation run that must finish with goodput > 0 and zero failed

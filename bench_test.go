@@ -19,6 +19,7 @@ import (
 	"deepbat/internal/experiments"
 	"deepbat/internal/lambda"
 	"deepbat/internal/nn"
+	"deepbat/internal/obs"
 	"deepbat/internal/qsim"
 	"deepbat/internal/tensor"
 	"deepbat/internal/trace"
@@ -144,8 +145,10 @@ func benchTrainDataset(n, seqLen int) *deepbat.Dataset {
 // benchTrainEpoch measures one full training epoch (forward + backward +
 // Adam) over a 64-sample synthetic dataset with the given worker count
 // (0 = GOMAXPROCS). Comparing the Serial and Parallel variants shows the
-// data-parallel minibatch speedup on multi-core machines.
-func benchTrainEpoch(b *testing.B, workers int) {
+// data-parallel minibatch speedup on multi-core machines; comparing Serial
+// and Obs (one worker, recording into a metric registry) shows what the
+// training instrumentation costs.
+func benchTrainEpoch(b *testing.B, workers int, instrumented bool) {
 	b.Helper()
 	ds := benchTrainDataset(64, 32)
 	mc := deepbat.DefaultOptions().Model
@@ -153,6 +156,9 @@ func benchTrainEpoch(b *testing.B, workers int) {
 	tc := deepbat.DefaultOptions().Train
 	tc.Epochs = 1
 	tc.Workers = workers
+	if instrumented {
+		tc.Obs = obs.NewRegistry()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -166,8 +172,9 @@ func benchTrainEpoch(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkTrainEpochSerial(b *testing.B)   { benchTrainEpoch(b, 1) }
-func BenchmarkTrainEpochParallel(b *testing.B) { benchTrainEpoch(b, 0) }
+func BenchmarkTrainEpochSerial(b *testing.B)   { benchTrainEpoch(b, 1, false) }
+func BenchmarkTrainEpochParallel(b *testing.B) { benchTrainEpoch(b, 0, false) }
+func BenchmarkTrainEpochObs(b *testing.B)      { benchTrainEpoch(b, 1, true) }
 
 func BenchmarkQsimRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))

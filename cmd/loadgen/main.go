@@ -12,11 +12,12 @@
 // stream routes through the fleet front door, and the table breaks out one
 // row per class with goodput judged against that class's own SLO.
 //
-// The open loop replays a seeded Poisson arrival process on a virtual
-// clock: same seed, same table, on any machine — which is what makes
-// -sweep output comparable across shard counts and runs. The closed loop
-// measures real wall-clock saturation throughput; -assert turns it into
-// the CI smoke check (goodput > 0, zero failed requests).
+// The open loop replays a seeded Poisson arrival process through the real
+// gateway on a virtual clock (batch timeouts and service time included):
+// same seed, same table, on any machine — which is what makes -sweep output
+// comparable across shard counts and runs. The closed loop measures real
+// wall-clock saturation throughput; -assert turns it into the CI smoke check
+// (goodput > 0, zero failed requests).
 package main
 
 import (
@@ -48,9 +49,8 @@ func main() {
 	slo := flag.Float64("slo", 0.1, "latency SLO in seconds (goodput threshold)")
 	memory := flag.Float64("memory", 2048, "serving configuration: memory MB")
 	batch := flag.Int("batch", 1, "serving configuration: batch size B")
-	timeout := flag.Float64("timeout", 0.01, "serving configuration: batch timeout T seconds (closed loop)")
+	timeout := flag.Float64("timeout", 0.01, "serving configuration: batch timeout T seconds")
 	faultRate := flag.Float64("fault-error-rate", 0, "injected backend failure probability")
-	legacy := flag.Bool("legacy", false, "drive the channel-per-request Enqueue path instead of the pooled path")
 	assert := flag.Bool("assert", false, "exit 1 unless goodput > 0 and no request failed (CI smoke)")
 	flag.Parse()
 
@@ -64,7 +64,6 @@ func main() {
 		RateRPS:        *rate,
 		Seed:           *seed,
 		FaultErrorRate: *faultRate,
-		Legacy:         *legacy,
 	}
 	if *loop == "open" && cfg.Requests == 0 {
 		cfg.Requests = 5000
@@ -118,10 +117,10 @@ func main() {
 			reports[i] = r
 		}
 	}
-	printHeader()
+	printHeader("mode")
 	ok := true
 	for _, r := range reports {
-		printRow(r)
+		printRow(r.Mode, r)
 		if r.GoodputRPS <= 0 || r.Failed > 0 {
 			ok = false
 		}
@@ -147,15 +146,15 @@ func runFleet(planPath string, cfg loadgen.Config, assert bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	printFleetHeader()
+	printHeader("class")
 	ok := true
 	for _, r := range res.PerClass {
-		printFleetRow(r)
+		printRow(r.Class, r)
 		if r.Requests > 0 && (r.GoodputRPS <= 0 || r.Failed > 0) {
 			ok = false
 		}
 	}
-	printFleetRow(res.Total)
+	printRow("total", res.Total)
 	if res.Total.GoodputRPS <= 0 || res.Total.Failed > 0 {
 		ok = false
 	}
@@ -163,22 +162,6 @@ func runFleet(planPath string, cfg loadgen.Config, assert bool) {
 		fmt.Println("loadgen: ASSERT FAILED (goodput must be > 0 with zero failed requests)")
 		os.Exit(1)
 	}
-}
-
-func printFleetHeader() {
-	fmt.Printf("%-12s %7s %9s %8s %12s %12s %9s %9s %9s %12s\n",
-		"class", "shards", "requests", "failed",
-		"throughput", "goodput", "p50_ms", "p95_ms", "p99_ms", "cost_usd")
-}
-
-func printFleetRow(r loadgen.Report) {
-	label := r.Class
-	if label == "" {
-		label = "total"
-	}
-	fmt.Printf("%-12s %7d %9d %8d %12.1f %12.1f %9.3f %9.3f %9.3f %12.6f\n",
-		label, r.Shards, r.Requests, r.Failed,
-		r.ThroughputRPS, r.GoodputRPS, r.P50MS, r.P95MS, r.P99MS, r.TotalCostUSD)
 }
 
 func parseSweep(s string) []int {
@@ -193,18 +176,16 @@ func parseSweep(s string) []int {
 	return out
 }
 
-func printHeader() {
-	fmt.Printf("%-7s %7s %7s %9s %8s %12s %12s %9s %9s %9s %12s\n",
-		"mode", "shards", "path", "requests", "failed",
+// printHeader and printRow render the one report table; the first column is
+// the loop mode for single-gateway runs and the class for fleet runs.
+func printHeader(first string) {
+	fmt.Printf("%-12s %7s %9s %8s %12s %12s %9s %9s %9s %12s\n",
+		first, "shards", "requests", "failed",
 		"throughput", "goodput", "p50_ms", "p95_ms", "p99_ms", "cost_usd")
 }
 
-func printRow(r loadgen.Report) {
-	path := "pooled"
-	if r.Legacy {
-		path = "legacy"
-	}
-	fmt.Printf("%-7s %7d %7s %9d %8d %12.1f %12.1f %9.3f %9.3f %9.3f %12.6f\n",
-		r.Mode, r.Shards, path, r.Requests, r.Failed,
+func printRow(first string, r loadgen.Report) {
+	fmt.Printf("%-12s %7d %9d %8d %12.1f %12.1f %9.3f %9.3f %9.3f %12.6f\n",
+		first, r.Shards, r.Requests, r.Failed,
 		r.ThroughputRPS, r.GoodputRPS, r.P50MS, r.P95MS, r.P99MS, r.TotalCostUSD)
 }

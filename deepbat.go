@@ -70,8 +70,6 @@ type (
 	ReplayOptions = core.ReplayOptions
 	// ReplayResult aggregates a closed-loop replay.
 	ReplayResult = core.ReplayResult
-	// Framework is the Fig. 2 event-driven request/control pipeline.
-	Framework = core.Framework
 	// Decider selects configurations at control points.
 	Decider = core.Decider
 )
@@ -303,29 +301,6 @@ func (s *System) Static(cfg Config) Decider { return core.StaticDecider{Cfg: cfg
 // controller and periodic reconfiguration.
 func (s *System) Replay(arrivals []float64, dec Decider, opts ReplayOptions) (*ReplayResult, error) {
 	return core.NewEngine(s.Simulator).Replay(arrivals, dec, opts)
-}
-
-// NewFramework assembles the event-driven Fig. 2 pipeline wired to this
-// system's optimizer: the framework reconfigures itself from the parser's
-// window every DecidePeriodS seconds.
-func (s *System) NewFramework(initial Config) (*Framework, error) {
-	if s.Model == nil {
-		return nil, errors.New("deepbat: system has no model")
-	}
-	fw, err := core.NewFramework(
-		core.SimLambda{Profile: s.Opts.Profile, Pricing: s.Opts.Pricing},
-		s.Model.Cfg.SeqLen, initial)
-	if err != nil {
-		return nil, err
-	}
-	fw.Reconfigure = func(window []float64) (Config, error) {
-		d, err := s.Optimizer.Decide(window)
-		if err != nil {
-			return Config{}, err
-		}
-		return d.Config, nil
-	}
-	return fw, nil
 }
 
 // SaveModel persists the trained surrogate to a file.

@@ -117,23 +117,6 @@ func TestFineTune(t *testing.T) {
 	}
 }
 
-func TestFrameworkIntegration(t *testing.T) {
-	sys := trainFast(t)
-	tr := fastTrace(t, "twitter", 1)
-	fw, err := sys.NewFramework(Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.DecidePeriodS = 10
-	fw.Run(tr.Timestamps)
-	if len(fw.Records) != len(tr.Timestamps) {
-		t.Fatalf("framework served %d of %d", len(fw.Records), len(tr.Timestamps))
-	}
-	if fw.Reconfigurations == 0 {
-		t.Fatal("framework never reconfigured")
-	}
-}
-
 func TestSaveLoadSystem(t *testing.T) {
 	sys := trainFast(t)
 	path := filepath.Join(t.TempDir(), "model.gob")

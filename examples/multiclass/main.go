@@ -2,8 +2,10 @@
 // direction the paper cites as the multi-class successor of BATCH): a speech
 // model with a 100 ms SLO on a diurnal workload and a lightweight vision
 // model with a 50 ms SLO on a steadier stream. Each class gets its own
-// DeepBAT controller; the coordinator demultiplexes the mixed request stream
-// and reports per-class outcomes.
+// surrogate, trained against its own service-time profile, and its own
+// closed-loop controller; the table sets each against a static deployment of
+// the same class. (The serving-side counterpart — one front door routing N
+// classes to per-group gateways — is internal/fleet.)
 package main
 
 import (
@@ -11,70 +13,56 @@ import (
 	"log"
 
 	"deepbat"
-	"deepbat/internal/core"
-	"deepbat/internal/fleet"
 	"deepbat/internal/lambda"
 )
 
 func main() {
-	speechTrace, err := deepbat.GenerateTrace(deepbat.TraceSpec{
-		Name: "azure", Hours: 3, HourSeconds: 40, Seed: 11,
-	})
-	if err != nil {
-		log.Fatal(err)
+	classes := []struct {
+		name    string
+		trace   string
+		seed    int64
+		profile string
+		slo     float64
+	}{
+		{"speech", "azure", 11, "nlp-base", 0.1},
+		{"vision", "twitter", 12, "cnn-small", 0.05},
 	}
-	visionTrace, err := deepbat.GenerateTrace(deepbat.TraceSpec{
-		Name: "twitter", Hours: 3, HourSeconds: 40, Seed: 12,
-	})
-	if err != nil {
-		log.Fatal(err)
+	initial := deepbat.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05}
+
+	type row struct {
+		class string
+		res   *deepbat.ReplayResult
+	}
+	var rows []row
+	for _, c := range classes {
+		tr, err := deepbat.GenerateTrace(deepbat.TraceSpec{
+			Name: c.trace, Hours: 3, HourSeconds: 40, Seed: c.seed,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		sys := trainFor(tr, lambda.Profiles[c.profile], c.slo)
+		opts := deepbat.ReplayOptions{
+			PeriodS:       10,
+			DecideEvery:   1,
+			LookbackS:     40,
+			InitialConfig: initial,
+			SLO:           c.slo,
+		}
+		for _, dec := range []deepbat.Decider{sys.Decider(), sys.Static(initial)} {
+			res, err := sys.Replay(tr.Timestamps, dec, opts)
+			if err != nil {
+				log.Fatal(err)
+			}
+			rows = append(rows, row{c.name, res})
+		}
 	}
 
-	// One DeepBAT system per class: the surrogate is trained against the
-	// class's own service-time profile.
-	speechSys := trainFor(speechTrace, lambda.Profiles["nlp-base"], 0.1)
-	visionSys := trainFor(visionTrace, lambda.Profiles["cnn-small"], 0.05)
-
-	opts := core.ReplayOptions{
-		PeriodS:       10,
-		DecideEvery:   1,
-		LookbackS:     40,
-		InitialConfig: deepbat.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05},
+	fmt.Printf("\n%-8s %-8s %8s %9s %8s %14s\n", "class", "control", "slo_ms", "requests", "VCR_%", "cost_u$/req")
+	for _, r := range rows {
+		fmt.Printf("%-8s %-8s %8.0f %9d %8.2f %14.3f\n",
+			r.class, r.res.Decider, r.res.SLO*1000, len(r.res.Latencies()), r.res.VCR(), r.res.CostPerRequest()*1e6)
 	}
-	coord, err := fleet.NewCoordinator([]fleet.Class{
-		{
-			Name:    "speech",
-			Profile: lambda.Profiles["nlp-base"],
-			Pricing: deepbat.DefaultPricing(),
-			SLO:     0.1,
-			Decider: speechSys.Decider(),
-			Options: opts,
-		},
-		{
-			Name:    "vision",
-			Profile: lambda.Profiles["cnn-small"],
-			Pricing: deepbat.DefaultPricing(),
-			SLO:     0.05,
-			Decider: visionSys.Decider(),
-			Options: opts,
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	stream := fleet.MixStreams(map[string][]float64{
-		"speech": speechTrace.Timestamps,
-		"vision": visionTrace.Timestamps,
-	})
-	fmt.Printf("replaying a mixed stream of %d requests across 2 classes...\n\n", len(stream))
-	sum, err := coord.Replay(stream)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(sum.VCRTable())
-	fmt.Printf("\noverall: %d requests, worst-class VCR %.2f%%, mean VCR %.2f%%, %.3f micro-USD/request\n",
-		sum.Requests, sum.WorstVCR, sum.MeanVCR, sum.CostPerRequest()*1e6)
 }
 
 // trainFor trains a small per-class surrogate against the class profile.

@@ -1,7 +1,7 @@
-// Serving: run the full Fig. 2 pipeline — Workload Parser, Buffer, Deep
-// Surrogate + Optimizer, simulated Lambda — as an event-driven framework
-// over a diurnal workload, and compare it against a statically configured
-// deployment of the same application.
+// Serving: train DeepBAT on the first half of a diurnal day, then serve the
+// second half in closed loop — the controller re-decides (M, B, T) every
+// control period from the arrivals it has just seen — and compare it against
+// a statically configured deployment of the same application.
 package main
 
 import (
@@ -36,34 +36,36 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Both deployments start from the same configuration; only the DeepBAT
+	// one moves off it, every 10 simulated seconds.
 	initial := deepbat.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05}
-
-	// DeepBAT-controlled framework: the parser feeds the optimizer, which
-	// reconfigures the buffer and function every 10 simulated seconds.
-	fw, err := sys.NewFramework(initial)
-	if err != nil {
-		log.Fatal(err)
+	replayOpts := deepbat.ReplayOptions{
+		PeriodS:       10,
+		DecideEvery:   1,
+		LookbackS:     60,
+		InitialConfig: initial,
+		SLO:           slo,
 	}
-	fw.DecidePeriodS = 10
-	fmt.Printf("serving %d requests through the framework...\n", len(serveTrace.Timestamps))
-	fw.Run(serveTrace.Timestamps)
-
-	// Static deployment for comparison: same initial config, never adapted.
-	static, err := sys.NewFramework(initial)
-	if err != nil {
-		log.Fatal(err)
+	serve := func(dec deepbat.Decider) *deepbat.ReplayResult {
+		res, err := sys.Replay(serveTrace.Timestamps, dec, replayOpts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	static.Reconfigure = nil
-	static.Run(serveTrace.Timestamps)
+	fmt.Printf("serving %d requests...\n\n", len(serveTrace.Timestamps))
+	adaptive := serve(sys.Decider())
+	static := serve(sys.Static(initial))
 
-	report := func(name string, lat []float64, cost float64, reconf int) {
-		p95, _ := stats.Percentile(lat, 95)
-		fmt.Printf("%-22s P95 %6.1fms  VCR %6.2f%%  cost %.3f u$/req  reconfigs %d\n",
-			name, p95*1000, stats.VCR(lat, slo), cost/float64(len(lat))*1e6, reconf)
+	for _, res := range []*deepbat.ReplayResult{adaptive, static} {
+		p95, _ := stats.Percentile(res.Latencies(), 95)
+		configs := map[deepbat.Config]bool{}
+		for _, p := range res.Periods {
+			configs[p.Config] = true
+		}
+		fmt.Printf("%-8s P95 %6.1fms  VCR %6.2f%%  cost %.3f u$/req  configurations used %d\n",
+			res.Decider+":", p95*1000, res.VCR(), res.CostPerRequest()*1e6, len(configs))
 	}
-	fmt.Println()
-	report("DeepBAT framework:", fw.Latencies(), fw.TotalCost(), fw.Reconfigurations)
-	report("static deployment:", static.Latencies(), static.TotalCost(), static.Reconfigurations)
-
-	fmt.Printf("\nfinal DeepBAT configuration: %s\n", fw.Config())
+	last := adaptive.Periods[len(adaptive.Periods)-1]
+	fmt.Printf("\nfinal DeepBAT configuration: %s\n", last.Config)
 }

@@ -30,9 +30,9 @@
 //     `//deepbat:hotpath` must be allocation-free: no make/new, no append,
 //     no escaping composite literals, no closures or goroutine launches, no
 //     interface boxing, no fmt/string building, no map or channel
-//     operations. The dynamic counterpart is the AllocsPerRun gates in
-//     cmd/bench; this rule also covers the cold branches a benchmark never
-//     exercises.
+//     operations. The dynamic counterpart is the AllocsPerRun gate in
+//     gateway's TestDoZeroAllocSteadyState; this rule also covers the cold
+//     branches a test never exercises.
 //   - pool-ownership: values obtained from a pool Get (sync.Pool, the
 //     gateway waiter/batch free-lists) are tracked through the
 //     function: double-Put, use-after-Put, and storing a live pooled value

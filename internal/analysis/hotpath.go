@@ -10,9 +10,9 @@ import (
 // HotPathAlloc enforces the zero-alloc serving discipline statically: a
 // function annotated `//deepbat:hotpath` promises that its whole statically
 // resolvable call closure performs no heap allocation on the paths it owns.
-// The dynamic counterparts — testing.AllocsPerRun gates in cmd/bench and
-// the poolcheck poisoner — only see the branches a benchmark happens to
-// execute; this rule also covers cold branches (retry loops, pool misses,
+// The dynamic counterparts — the testing.AllocsPerRun gate in gateway's
+// TestDoZeroAllocSteadyState and the poolcheck poisoner — only see the
+// branches a test happens to execute; this rule also covers cold branches (retry loops, pool misses,
 // deadline sweeps), which is where allocation regressions hide.
 //
 // Flagged inside the closure:

@@ -7,17 +7,17 @@
 //
 // Determinism discipline: scenarios advance the clock only between steps,
 // dispatch batches by size (or flush at Stop) rather than by wall-clock
-// batch timers, await every in-flight response before the next step, and
-// draw backoff jitter from a per-run PRNG seeded by JitterSeed — so two
-// Runs of the same Scenario are bit-identical, which AssertDeterministic
-// checks down to the snapshot and event-stream bytes.
+// batch timers — each batch executes on the harness goroutine inside the
+// Submit that fills it, so batches never overlap — and draw backoff jitter
+// from a per-run PRNG seeded by JitterSeed. Two Runs of the same Scenario are
+// therefore bit-identical, which AssertDeterministic checks down to the
+// snapshot and event-stream bytes.
 package faulttest
 
 import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"deepbat/internal/fault"
 	"deepbat/internal/gateway"
@@ -32,14 +32,14 @@ import (
 type Step struct {
 	// AdvanceS moves the manual clock forward by this many seconds.
 	AdvanceS float64
-	// Enqueue submits this many requests (their completion channels are
+	// Enqueue submits this many requests (their completion handles are
 	// queued in arrival order).
 	Enqueue int
 	// Decide forces one synchronous control decision (DecideNow).
 	Decide bool
-	// Await receives this many responses, oldest outstanding first. Steps
-	// must await every request a dispatch resolves before the clock moves
-	// again, or latency accounting would race the executing batch.
+	// Await receives this many responses, oldest outstanding first. Await
+	// only requests whose batch has dispatched: waiting on one still
+	// buffered blocks until the test timeout.
 	Await int
 }
 
@@ -83,8 +83,6 @@ type Result struct {
 	Events   []byte
 }
 
-const awaitTimeout = 10 * time.Second
-
 // Run plays the scenario once. The gateway is stopped (flushing any open
 // batch) and fully drained before the snapshots are taken.
 func Run(t *testing.T, s Scenario) Result {
@@ -122,19 +120,14 @@ func Run(t *testing.T, s Scenario) Result {
 	if err != nil {
 		t.Fatalf("scenario %q: %v", s.Name, err)
 	}
-	var queue []<-chan gateway.Response
+	var queue []gateway.Handle
 	var out Result
 	await := func(n int) {
 		for i := 0; i < n; i++ {
 			if len(queue) == 0 {
 				t.Fatalf("scenario %q: await with no outstanding requests", s.Name)
 			}
-			select {
-			case resp := <-queue[0]:
-				out.Responses = append(out.Responses, resp)
-			case <-time.After(awaitTimeout):
-				t.Fatalf("scenario %q: response %d never arrived", s.Name, len(out.Responses))
-			}
+			out.Responses = append(out.Responses, queue[0].Wait())
 			queue = queue[1:]
 		}
 	}
@@ -143,7 +136,7 @@ func Run(t *testing.T, s Scenario) Result {
 			clock.Advance(st.AdvanceS)
 		}
 		for i := 0; i < st.Enqueue; i++ {
-			queue = append(queue, g.Enqueue())
+			queue = append(queue, g.Submit())
 		}
 		if st.Decide {
 			g.DecideNow()

@@ -235,12 +235,6 @@ func (f *Fleet) Do(class int) gateway.Response {
 	return f.Submit(class).Wait()
 }
 
-// Enqueue routes one request on the channel-per-request path (the HTTP
-// handler's contract).
-func (f *Fleet) Enqueue(class int) <-chan gateway.Response {
-	return f.gws[f.byClass[class]].Enqueue()
-}
-
 // DecideNow forces one synchronous tuner decision on every group, in group
 // order — the deterministic way to drive the fast timescale.
 func (f *Fleet) DecideNow() {
@@ -366,8 +360,8 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("/infer", f.handleInfer)
 	mux.HandleFunc("/stats", f.handleStats)
 	mux.HandleFunc("/config", f.handleConfig)
-	mux.HandleFunc("/metrics", f.handleMetrics)
-	mux.HandleFunc("/metrics.json", f.handleMetricsJSON)
+	mux.HandleFunc("/metrics", f.handleGroup)
+	mux.HandleFunc("/metrics.json", f.handleGroup)
 	return mux
 }
 
@@ -388,23 +382,11 @@ func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "class parameter required", http.StatusBadRequest)
 		return
 	}
-	done := f.Enqueue(class)
-	select {
-	case resp := <-done:
-		w.Header().Set("Content-Type", "application/json")
-		switch resp.Error {
-		case "":
-		case gateway.ErrDeadlineExceeded.Error():
-			w.WriteHeader(http.StatusGatewayTimeout)
-		default:
-			w.WriteHeader(http.StatusBadGateway)
-		}
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			return // response already committed
-		}
-	case <-r.Context().Done():
-		http.Error(w, "client cancelled", http.StatusRequestTimeout)
+	resp := f.Do(class)
+	if r.Context().Err() != nil {
+		return // client went away while the request was batched
 	}
+	gateway.WriteResponse(w, resp)
 }
 
 func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -438,32 +420,13 @@ func (f *Fleet) groupParam(r *http.Request) (int, error) {
 	return gi, nil
 }
 
-func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// handleGroup serves /metrics and /metrics.json for one group (?group=<i>)
+// from that group's own gateway handler.
+func (f *Fleet) handleGroup(w http.ResponseWriter, r *http.Request) {
 	gi, err := f.groupParam(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := f.gws[gi].Obs().WritePrometheus(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (f *Fleet) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	gi, err := f.groupParam(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	doc := struct {
-		Metrics obs.Snapshot `json:"metrics"`
-		Events  []obs.Event  `json:"events"`
-	}{Metrics: f.gws[gi].Obs().Snapshot(), Events: f.gws[gi].Events().Events()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	f.gws[gi].Handler().ServeHTTP(w, r)
 }

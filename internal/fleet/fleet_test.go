@@ -57,12 +57,9 @@ func TestFleetAccessorsAndRouting(t *testing.T) {
 	if resp := f.Do(1); resp.Error != "" {
 		t.Fatalf("Do: %v", resp.Error)
 	}
-	if resp := <-f.Enqueue(0); resp.Error != "" {
-		t.Fatalf("Enqueue: %v", resp.Error)
-	}
 	st := f.Stats()
-	if st.Served != 3 || len(st.Groups) != 2 {
-		t.Fatalf("Stats = %+v, want 3 served over 2 groups", st)
+	if st.Served != 2 || len(st.Groups) != 2 {
+		t.Fatalf("Stats = %+v, want 2 served over 2 groups", st)
 	}
 }
 
@@ -283,6 +280,67 @@ func TestFleetHandler(t *testing.T) {
 
 // TestFleetSingleClassHandlerDefaultsClass pins the 1-class ergonomic: no
 // class parameter needed, exactly like the single gateway's /infer.
+// stallingBackend fails every invocation after holding it for two clock
+// seconds: without retries that is a backend failure, and with one retry and
+// a 1 s request deadline the request expires between the attempts.
+type stallingBackend struct{ clock *obs.ManualClock }
+
+func (b stallingBackend) Execute(lambda.Config, int) (time.Duration, float64, error) {
+	b.clock.Advance(2)
+	return 0, 0, gateway.ErrBackendFailed
+}
+
+// TestInferErrorStatusesBothDoors pins the one /infer status mapping through
+// the gateway door and the fleet door alike: 502 for a failed backend, 504
+// for an expired request, each with the typed error in the JSON body.
+func TestInferErrorStatusesBothDoors(t *testing.T) {
+	one := &fleet.ConfigSpec{MemoryMB: 2048, BatchSize: 1}
+	expiring := &fleet.ResilienceSpec{MaxRetries: 1, RequestTimeoutS: 1}
+	clock := &obs.ManualClock{}
+	f, err := fleet.New(fleet.Plan{Classes: []fleet.ClassSpec{
+		{Name: "failing", SLO: 0.1, Initial: one, Shards: 1},
+		{Name: "expiring", SLO: 0.1, Initial: one, Shards: 1, Resilience: expiring},
+	}}, fleet.Options{
+		Clock:      clock,
+		BackendFor: func(int, fleet.Group) gateway.Backend { return stallingBackend{clock} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gw := func(res gateway.Resilience) http.Handler {
+		g, err := gateway.New(stallingBackend{clock}, nil, gateway.Config{
+			Initial: one.Config(), Clock: clock, Resilience: res, Shards: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g.Handler()
+	}
+	for _, tc := range []struct {
+		name, path string
+		door       http.Handler
+		status     int
+		wantErr    error
+	}{
+		{"fleet failing", "/infer?class=failing", f.Handler(), http.StatusBadGateway, gateway.ErrBackendFailed},
+		{"fleet expiring", "/infer?class=expiring", f.Handler(), http.StatusGatewayTimeout, gateway.ErrDeadlineExceeded},
+		{"gateway failing", "/infer", gw(gateway.Resilience{}), http.StatusBadGateway, gateway.ErrBackendFailed},
+		{"gateway expiring", "/infer", gw(expiring.Resilience()), http.StatusGatewayTimeout, gateway.ErrDeadlineExceeded},
+	} {
+		rec := httptest.NewRecorder()
+		tc.door.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, nil))
+		var out gateway.Response
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rec.Code != tc.status || out.Error != tc.wantErr.Error() {
+			t.Errorf("%s: status %d body %+v, want %d with %q", tc.name, rec.Code, out, tc.status, tc.wantErr)
+		}
+	}
+}
+
 func TestFleetSingleClassHandlerDefaultsClass(t *testing.T) {
 	f, err := fleet.New(fleet.Plan{Classes: []fleet.ClassSpec{{Name: "only", SLO: 0.5, Shards: 1}}},
 		fleet.Options{Clock: &obs.ManualClock{}})

@@ -3,7 +3,7 @@
 // pre-shard golden bytes exactly — same obs snapshot, same event stream.
 // The goldens live in internal/gateway/testdata/preshard/ and are the same
 // files TestPreShardGoldenBytes pins; this test replays the same scenarios
-// through fleet.Enqueue(0) instead of gateway.Enqueue().
+// through fleet.Submit(0) instead of gateway.Submit().
 package fleet_test
 
 import (
@@ -126,13 +126,13 @@ func runGolden(t *testing.T, gc goldenCase) (snapshot, events []byte) {
 	if err != nil {
 		t.Fatalf("golden %q: %v", gc.name, err)
 	}
-	var queue []<-chan gateway.Response
+	var queue []gateway.Handle
 	await := func(n int) {
 		for i := 0; i < n; i++ {
 			if len(queue) == 0 {
 				t.Fatalf("golden %q: await with no outstanding requests", gc.name)
 			}
-			<-queue[0]
+			queue[0].Wait()
 			queue = queue[1:]
 		}
 	}
@@ -141,7 +141,7 @@ func runGolden(t *testing.T, gc goldenCase) (snapshot, events []byte) {
 			clock.Advance(st.advanceS)
 		}
 		for i := 0; i < st.enqueue; i++ {
-			queue = append(queue, f.Enqueue(0))
+			queue = append(queue, f.Submit(0))
 		}
 		await(st.await)
 	}

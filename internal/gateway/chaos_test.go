@@ -389,7 +389,7 @@ func TestChaosNoLeakedGoroutines(t *testing.T) {
 // TestChaosSoak hammers a real-time gateway (wall clock, live batch timers)
 // with concurrent clients against a seeded faulty backend. Bounded: ~1s by
 // default, CHAOS_SOAK_S seconds under `make chaos`. It asserts conservation
-// (every request answered exactly once) and clean shutdown under fire.
+// (every request accounted exactly once) and clean shutdown under fire.
 func TestChaosSoak(t *testing.T) {
 	dur := time.Second
 	if v := os.Getenv("CHAOS_SOAK_S"); v != "" {
@@ -432,7 +432,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	const workers = 8
 	var wg sync.WaitGroup
-	var sent, answered, errored int64
+	var sent, errored int64
 	var mu sync.Mutex
 	stopAt := time.Now().Add(dur)
 	for w := 0; w < workers; w++ {
@@ -440,22 +440,15 @@ func TestChaosSoak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(stopAt) {
-				ch := g.Enqueue()
+				// A request that is never answered hangs here until the
+				// test timeout.
+				resp := g.Do()
 				mu.Lock()
 				sent++
-				mu.Unlock()
-				select {
-				case resp := <-ch:
-					mu.Lock()
-					answered++
-					if resp.Error != "" {
-						errored++
-					}
-					mu.Unlock()
-				case <-time.After(5 * time.Second):
-					t.Error("request never answered")
-					return
+				if resp.Error != "" {
+					errored++
 				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -463,9 +456,6 @@ func TestChaosSoak(t *testing.T) {
 	g.Stop()
 	mu.Lock()
 	defer mu.Unlock()
-	if answered != sent {
-		t.Fatalf("answered %d of %d requests", answered, sent)
-	}
 	st := g.Stats()
 	if int64(st.Served+st.FailedRequests+st.DeadlineExpired) != sent {
 		t.Fatalf("conservation violated: stats %+v vs %d sent", st, sent)

@@ -13,10 +13,9 @@
 // The optimizer's configuration fans out to shards through an atomic
 // pointer; per-shard tallies merge in shard order, so deterministic drivers
 // see deterministic merged figures, and P = 1 reproduces the single-queue
-// gateway bit for bit (see testdata/preshard). The pooled Submit/Do path is
-// allocation-free at steady state; Enqueue keeps the original
-// channel-per-request contract for the HTTP handler and as the baseline the
-// gateway benchmarks compare against.
+// gateway bit for bit (see testdata/preshard). Submit/Do is the one way in —
+// the HTTP handler, the chaos harness and the virtual-time drivers all use
+// it — and is allocation-free at steady state.
 //
 // The serving path is resilient to backend and controller faults
 // (internal/fault is the matching injection layer): failed invocations are
@@ -385,7 +384,6 @@ type Gateway struct {
 
 	stop    chan struct{}
 	loopWG  sync.WaitGroup // control loop
-	execWG  sync.WaitGroup // spawned batch executions
 	timerWG sync.WaitGroup // armed batch timers (fired or cancelled)
 }
 
@@ -461,11 +459,11 @@ func (g *Gateway) Start() {
 
 // Stop shuts the gateway down: it stops the control loop, flushes any
 // buffered requests (shard by shard, in shard order), and joins every
-// goroutine the gateway spawned — the control loop, in-flight batch
-// executions (whose remaining retry backoffs are skipped once stop is
-// signalled), and armed batch timers. It is idempotent. Callers should drain
-// their HTTP server first, so no new requests arrive concurrently with the
-// shutdown.
+// goroutine the gateway spawned — the control loop and armed batch timers
+// (a batch still retrying skips its remaining backoffs once stop is
+// signalled). Size-triggered batches run on their submitter's goroutine, so
+// callers should drain their HTTP server first: no request may arrive
+// concurrently with the shutdown. It is idempotent.
 func (g *Gateway) Stop() {
 	g.smu.Lock()
 	if g.stopped {
@@ -485,7 +483,6 @@ func (g *Gateway) Stop() {
 	}
 	g.loopWG.Wait()
 	g.timerWG.Wait()
-	g.execWG.Wait()
 	served := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
@@ -681,25 +678,31 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	done := g.Enqueue()
-	select {
-	case resp := <-done:
-		w.Header().Set("Content-Type", "application/json")
-		switch resp.Error {
-		case "":
-		case ErrDeadlineExceeded.Error():
-			w.WriteHeader(http.StatusGatewayTimeout)
-		default:
-			w.WriteHeader(http.StatusBadGateway)
-		}
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			// The response was already committed; nothing sensible to do.
-			return
-		}
-	case <-r.Context().Done():
-		// Client went away; the batch result is discarded for this waiter.
-		http.Error(w, "client cancelled", http.StatusRequestTimeout)
+	resp := g.Do()
+	if r.Context().Err() != nil {
+		// Client went away while the request was batched; there is nobody
+		// to write to. Do returned, so the pooled waiter is already back.
+		return
 	}
+	WriteResponse(w, resp)
+}
+
+// WriteResponse writes one inference response as the /infer JSON body with
+// the status its Error maps to: 200 on success, 504 for
+// ErrDeadlineExceeded, 502 for any other serving error. The fleet front
+// door answers through it too, so both doors speak one protocol.
+func WriteResponse(w http.ResponseWriter, resp Response) {
+	w.Header().Set("Content-Type", "application/json")
+	switch resp.Error {
+	case "":
+	case ErrDeadlineExceeded.Error():
+		w.WriteHeader(http.StatusGatewayTimeout)
+	default:
+		w.WriteHeader(http.StatusBadGateway)
+	}
+	// An encode error means the response is already committed; nothing
+	// sensible is left to do with it.
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 // observeArrival feeds the interarrival parser. Skipped entirely without a
@@ -723,21 +726,6 @@ func (g *Gateway) admitShard() (s *shard, id int, now float64) {
 	return g.shards[shardOf(uint64(id), len(g.shards))], id, now
 }
 
-// Enqueue submits one inference request, stamped with the gateway clock,
-// and returns its completion channel — the programmatic equivalent of
-// POST /infer, used by the HTTP handler and the chaos harness alike. Each
-// call allocates a fresh waiter and channel (the handler may abandon them on
-// client cancel) and dispatches full batches asynchronously; latency-
-// critical in-process callers should prefer the pooled Submit/Do path.
-func (g *Gateway) Enqueue() <-chan Response {
-	s, id, now := g.admitShard()
-	w := &waiter{id: id, arriveAt: now, ch: make(chan Response, 1)}
-	if batch, ac, cause := s.enqueueWaiter(w); batch != nil {
-		g.spawnExecute(s, batch, ac, cause)
-	}
-	return w.ch
-}
-
 // Handle is the pooled completion handle for one Submit-ed request. Wait
 // must be called exactly once; it returns the response and recycles the
 // underlying waiter. The zero Handle is invalid.
@@ -759,20 +747,20 @@ func (h Handle) Wait() Response {
 	if h.direct {
 		resp = h.w.resp
 	} else {
-		//lint:allow hotpath-alloc async dispatch delivers over the waiter's pre-allocated 1-buffered channel; this receive is the wait itself
+		//lint:allow hotpath-alloc a batch dispatched by another request, a timer or Stop delivers over the waiter's pre-allocated 1-buffered channel; this receive is the wait itself
 		resp = <-h.w.ch
 	}
 	h.s.putWaiter(h.w)
 	return resp
 }
 
-// Submit is the zero-alloc admit path: it enqueues one request on a pooled
-// waiter and returns its completion handle. When the request fills a batch
-// (B = 1, T = 0, or the size trigger), the batch executes synchronously on
-// the caller's goroutine — the submitting request pays for its own dispatch
-// instead of a handoff to a spawned goroutine. Unlike Enqueue, the caller
-// MUST consume the response via Handle.Wait (abandoning a handle leaks its
-// waiter from the pool).
+// Submit is the admit path, allocation-free at steady state: it enqueues one
+// request, stamped with the gateway clock, on a pooled waiter and returns its
+// completion handle. When the request fills a batch (B = 1, T = 0, or the
+// size trigger), the batch executes synchronously on the caller's goroutine:
+// the submitting request pays for its own dispatch. The caller MUST consume
+// the response via Handle.Wait (abandoning a handle leaks its waiter from the
+// pool).
 //
 //deepbat:hotpath
 func (g *Gateway) Submit() Handle {
@@ -787,8 +775,8 @@ func (g *Gateway) Submit() Handle {
 	return Handle{w: w, s: s}
 }
 
-// Do submits one request and waits for its response — the pooled,
-// allocation-free equivalent of draining Enqueue's channel.
+// Do submits one request and waits for its response — the programmatic
+// equivalent of POST /infer.
 //
 //deepbat:hotpath
 func (g *Gateway) Do() Response {
@@ -835,16 +823,6 @@ func (g *Gateway) FlushDue() int {
 		}
 	}
 	return n
-}
-
-// spawnExecute runs a batch asynchronously, tracked by execWG.
-func (g *Gateway) spawnExecute(s *shard, batch []*waiter, ac *activeCfg, cause string) {
-	g.execWG.Add(1)
-	//lint:allow goroutine-discipline request-scoped batch execution; joined on each waiter's done channel by handleInfer and via execWG.Wait in Stop
-	go func() {
-		defer g.execWG.Done()
-		s.execute(batch, ac, cause, nil)
-	}()
 }
 
 // backoff returns the wait before retry attempt (0-based): exponential from

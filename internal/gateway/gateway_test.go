@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -239,15 +240,12 @@ func TestCloseFlushesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := g.Enqueue()
+	h := g.Submit()
 	g.Close()
-	select {
-	case resp := <-done:
-		if resp.BatchSize != 1 {
-			t.Fatalf("flushed batch size = %d", resp.BatchSize)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Close did not flush the pending request")
+	// Close delivered the flush synchronously; a Close that skipped the
+	// pending request would hang here until the test timeout.
+	if resp := h.Wait(); resp.BatchSize != 1 {
+		t.Fatalf("flushed batch size = %d", resp.BatchSize)
 	}
 	// Double close is safe.
 	g.Close()
@@ -309,5 +307,38 @@ func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 		if c.Kind == obs.KindCounter && c.Value > 0 {
 			t.Fatalf("counter %s = %v after empty flush", c.Name, c.Value)
 		}
+	}
+}
+
+// TestInferClientCancel pins the cancel contract of the one door: a client
+// that gives up while its request is batched gets no response, the request
+// still rides its batch (the handler lingers at most T + service time), and
+// its waiter goes back to the pool — Stop joins cleanly and a later request
+// is served.
+func TestInferClientCancel(t *testing.T) {
+	g, err := New(fastBackend(), nil, Config{
+		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 0.05},
+		SLO:     0.1,
+		Shards:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g.Handler())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/infer", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("cancelled request got a response")
+	}
+	postInfer(t, srv.URL)
+	srv.Close() // waits for the lingering handler
+	g.Stop()
+	if st := g.Stats(); st.Served != 2 {
+		t.Fatalf("served %d, want 2 (the abandoned request still rides its batch)", st.Served)
 	}
 }

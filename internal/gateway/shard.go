@@ -41,15 +41,12 @@ func (r *latRing) observe(v float64) {
 	r.n++
 }
 
-// waiter is one queued request. Pooled waiters (Submit/Do) carry a reusable
-// cap-1 response channel and are recycled through the shard free-list by
-// Handle.Wait; legacy waiters (Enqueue) are garbage-collected after their
-// channel is drained.
+// waiter is one queued request. It carries a reusable cap-1 response channel
+// and is recycled through the shard free-list by Handle.Wait.
 type waiter struct {
 	id       int
 	arriveAt float64 // clock seconds
 	ch       chan Response
-	pooled   bool
 	// resp receives the response by direct write instead of a channel send
 	// when this waiter's own Submit dispatched the batch synchronously: the
 	// goroutine that runs execute is the one that reads resp in Wait, so no
@@ -65,7 +62,7 @@ func deliver(w, self *waiter, resp Response) {
 		w.resp = resp
 		return
 	}
-	//lint:allow hotpath-alloc cross-goroutine delivery for the async path; the pooled synchronous submitter takes the direct-write branch above
+	//lint:allow hotpath-alloc cross-goroutine delivery to the batch's other members over their pre-allocated 1-buffered channels; the submitter takes the direct-write branch above
 	w.ch <- resp
 }
 
@@ -156,13 +153,13 @@ func (s *shard) getWaiterLocked(id int, arriveAt float64) *waiter {
 		checkWaiterClean(w)
 	} else {
 		//lint:allow hotpath-alloc pool miss: early requests populate the free-list; steady state recycles and never reaches this branch
-		w = &waiter{ch: make(chan Response, 1), pooled: true}
+		w = &waiter{ch: make(chan Response, 1)}
 	}
 	w.id, w.arriveAt = id, arriveAt
 	return w
 }
 
-// putWaiter recycles a pooled waiter after its response was consumed. Under
+// putWaiter recycles a waiter after its response was consumed. Under
 // the poolcheck build tag the waiter is poisoned so any aliasing of a
 // previous request's state is caught at the next get. The single-slot
 // exchange is tried first; only a full slot falls back to the locked list.
@@ -218,15 +215,9 @@ func (s *shard) recycleBatchLocked(batch []*waiter) {
 	}
 }
 
-// enqueueWaiter runs the admit→enqueue→dispatch decision for one request.
-// When the returned batch is non-nil the caller owns its dispatch (the
-// legacy channel path spawns, the pooled path executes synchronously).
-func (s *shard) enqueueWaiter(w *waiter) (batch []*waiter, ac *activeCfg, cause string) {
-	s.mu.Lock()
-	return s.enqueueWaiterLocked(w)
-}
-
-// enqueueWaiterLocked is enqueueWaiter with mu already held; it unlocks.
+// enqueueWaiterLocked runs the admit→enqueue→dispatch decision for one
+// request with mu held; it unlocks. When the returned batch is non-nil the
+// caller owns its dispatch.
 func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, cause string) {
 	g := s.g
 	if len(s.pending) == 0 {
@@ -266,9 +257,9 @@ func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, 
 	return nil, nil, ""
 }
 
-// submitPooled is the zero-alloc admit path: the waiter comes from the
-// lock-free exchange slot when possible, and a single lock acquisition runs
-// the batch decision.
+// submitPooled admits one request: the waiter comes from the lock-free
+// exchange slot when possible, and a single lock acquisition runs the batch
+// decision.
 func (s *shard) submitPooled(id int, arriveAt float64) (w *waiter, batch []*waiter, ac *activeCfg, cause string) {
 	if w = s.freeSlot.Swap(nil); w != nil {
 		checkWaiterClean(w)

@@ -114,3 +114,38 @@ func TestVirtualTimersStopStillFlushes(t *testing.T) {
 		t.Fatalf("stop flush response = %+v", r)
 	}
 }
+
+// TestReconfigureAppliesToNextBatch pins that a batch keeps the parameters it
+// opened under: reconfiguring to B = 1 mid-batch neither dispatches the open
+// batch nor lets the next arrival dispatch alone; the batch that opens after
+// the flush is the first to run under the new configuration.
+func TestReconfigureAppliesToNextBatch(t *testing.T) {
+	clock := &obs.ManualClock{}
+	g := newVirtualGateway(t, clock, lambda.Config{MemoryMB: 2048, BatchSize: 3, TimeoutS: 1})
+	defer g.Stop()
+
+	h1 := g.Submit()
+	next := lambda.Config{MemoryMB: 1024, BatchSize: 1}
+	if err := g.Reconfigure(next); err != nil {
+		t.Fatal(err)
+	}
+	clock.Set(0.2)
+	h2 := g.Submit()
+	if d, ok := g.NextFlushDeadline(); !ok || d != 1 {
+		t.Fatalf("deadline = %v, %v; want the open batch still waiting on its own T = 1", d, ok)
+	}
+	clock.Set(1)
+	if n := g.FlushDue(); n != 1 {
+		t.Fatalf("FlushDue dispatched %d batches, want 1", n)
+	}
+	if r1, r2 := h1.Wait(), h2.Wait(); r1.BatchSize != 2 || r2.BatchSize != 2 || r1.Config == next.String() {
+		t.Fatalf("open batch = %+v / %+v, want both served together under the old configuration", r1, r2)
+	}
+	// An invalid configuration is refused and leaves the active one serving.
+	if err := g.Reconfigure(lambda.Config{BatchSize: 0, TimeoutS: -1}); err == nil || g.Config() != next {
+		t.Fatalf("invalid reconfigure: err = %v, active = %s", err, g.Config())
+	}
+	if r := g.Do(); r.BatchSize != 1 || r.Config != next.String() {
+		t.Fatalf("next batch = %+v, want an immediate dispatch under %s", r, next)
+	}
+}

@@ -1,17 +1,15 @@
-// The fleet open loop: one seeded Poisson process per plan class, k-way
-// merged into a single arrival stream and driven through the fleet front
-// door on a manual clock. Per-class goodput is judged against each class's
-// own SLO — the multi-SLO figure the fleet experiment tabulates.
+// The fleet open loop: one seeded Poisson process per plan class, merged into
+// a single class-labeled trace and replayed through the fleet front door on
+// a manual clock. Per-class goodput is judged against each class's own SLO —
+// the multi-SLO figure the fleet experiment tabulates.
 package loadgen
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"deepbat/internal/fleet"
-	"deepbat/internal/gateway"
-	"deepbat/internal/obs"
+	"deepbat/internal/replay"
 	"deepbat/internal/sweep"
 )
 
@@ -22,25 +20,26 @@ type FleetResult struct {
 	Total    Report   `json:"total"`
 }
 
-// RunFleetOpen drives a fleet with per-class Poisson arrivals on a manual
-// clock. Each class i draws interarrivals at its plan RateRPS from its own
-// rng seeded sweep.CellSeed(c.Seed, i); the streams are merged by arrival
-// time (ties to the lower class index) and submitted single-threaded, with
-// due batch timeouts flushed in virtual time before each arrival. The run is
-// fully deterministic: same plan + Config, byte-identical FleetResult.
+// RunFleetOpen drives a fleet with per-class Poisson arrivals through
+// replay.RunFleet. Each class i draws interarrivals at its plan RateRPS from
+// its own rng seeded sweep.CellSeed(c.Seed, i); the streams are merged by
+// arrival time (ties to the lower class index) and submitted single-threaded,
+// with due batch timeouts flushed in virtual time before each arrival. The
+// run is fully deterministic: same plan + Config, byte-identical FleetResult.
 //
-// Config fields used: Requests (total across classes, required), Seed, and
-// Assignment-free plan defaults; Clients, Duration, RateRPS, FaultErrorRate,
-// and Legacy do not apply to the fleet loop.
+// Config fields used: Requests (total across classes, required) and Seed;
+// Clients, Duration, RateRPS and FaultErrorRate do not apply to the fleet
+// loop.
 func RunFleetOpen(p fleet.Plan, c Config) (FleetResult, error) {
 	if c.Requests <= 0 {
 		return FleetResult{}, errors.New("loadgen: fleet open loop needs Requests")
 	}
-	if err := p.Validate(); err != nil {
-		return FleetResult{}, fmt.Errorf("loadgen: %w", err)
-	}
+	names := make([]string, len(p.Classes))
+	rates := make([]float64, len(p.Classes))
+	seeds := make([]int64, len(p.Classes))
 	anyRate := false
-	for _, spec := range p.Classes {
+	for i, spec := range p.Classes {
+		names[i], rates[i], seeds[i] = spec.Name, spec.RateRPS, sweep.CellSeed(c.Seed, i)
 		if spec.RateRPS > 0 {
 			anyRate = true
 		}
@@ -48,80 +47,37 @@ func RunFleetOpen(p fleet.Plan, c Config) (FleetResult, error) {
 	if !anyRate {
 		return FleetResult{}, errors.New("loadgen: fleet open loop needs at least one class with rate_rps > 0")
 	}
-	clock := &obs.ManualClock{}
-	f, err := fleet.New(p, fleet.Options{Clock: clock, VirtualTimers: true})
+	rep, err := replay.RunFleet(replay.FleetConfig{
+		Trace: poissonTrace(c.Seed, names, rates, seeds, c.Requests),
+		Plan:  p,
+	})
 	if err != nil {
 		return FleetResult{}, fmt.Errorf("loadgen: %w", err)
 	}
-
-	// Per-class next-arrival heads; +Inf-free: idle classes get ok=false.
-	n := len(p.Classes)
-	rngs := make([]*rand.Rand, n)
-	next := make([]float64, n)
-	live := make([]bool, n)
-	for i, spec := range p.Classes {
-		if spec.RateRPS <= 0 {
-			continue
+	row := func(r replay.FleetClassRow, shards int, costUSD float64) Report {
+		out := Report{
+			Mode:         "open",
+			Shards:       shards,
+			Requests:     r.Arrivals,
+			Served:       r.Served,
+			Failed:       r.Failed,
+			ElapsedS:     rep.DurationS,
+			GoodputRPS:   r.GoodputRPS,
+			P50MS:        r.P50MS,
+			P95MS:        r.P95MS,
+			P99MS:        r.P99MS,
+			TotalCostUSD: costUSD,
 		}
-		rngs[i] = rand.New(rand.NewSource(sweep.CellSeed(c.Seed, i)))
-		next[i] = rngs[i].ExpFloat64() / spec.RateRPS
-		live[i] = true
-	}
-	handles := make([]gateway.Handle, 0, c.Requests)
-	classes := make([]int, 0, c.Requests)
-	for issued := 0; issued < c.Requests; issued++ {
-		ci := -1
-		for i := 0; i < n; i++ {
-			if live[i] && (ci < 0 || next[i] < next[ci]) {
-				ci = i
-			}
+		if rep.DurationS > 0 {
+			out.ThroughputRPS = float64(r.Served) / rep.DurationS
 		}
-		at := next[ci]
-		flushFleetUntil(f, clock, at)
-		clock.Set(at)
-		handles = append(handles, f.Submit(ci))
-		classes = append(classes, ci)
-		next[ci] = at + rngs[ci].ExpFloat64()/p.Classes[ci].RateRPS
+		return out
 	}
-	elapsed := clock.Now()
-	f.Stop() // flush partial batches
-
-	parts := make([]tally, n)
-	costs := make([]float64, n)
-	var total tally
-	for i, h := range handles {
-		resp := h.Wait()
-		ci := classes[i]
-		parts[ci].observe(resp, p.Classes[ci].SLO*1000)
-		total.observe(resp, p.Classes[ci].SLO*1000)
-		if resp.Error == "" {
-			costs[ci] += resp.CostUSD
-		}
+	res := FleetResult{Total: row(rep.Totals, 0, rep.CostUSD)}
+	for _, r := range rep.Classes {
+		pr := row(r, rep.Groups[r.Group].Shards, r.CostUSD)
+		pr.Class = r.Class
+		res.PerClass = append(res.PerClass, pr)
 	}
-	if elapsed <= 0 {
-		elapsed = 1
-	}
-	res := FleetResult{}
-	for ci := range parts {
-		r := parts[ci].report("open", c, f.GatewayFor(ci).Shards(), elapsed, costs[ci])
-		r.Class = p.Classes[ci].Name
-		r.Legacy = false
-		res.PerClass = append(res.PerClass, r)
-	}
-	res.Total = total.report("open", c, 0, elapsed, f.Stats().TotalCostUSD)
-	res.Total.Legacy = false
 	return res, nil
-}
-
-// flushFleetUntil dispatches every virtual batch timeout due at or before t,
-// in deadline order across the fleet's groups.
-func flushFleetUntil(f *fleet.Fleet, clock *obs.ManualClock, t float64) {
-	for {
-		d, ok := f.NextFlushDeadline()
-		if !ok || d > t {
-			return
-		}
-		clock.Set(d)
-		f.FlushDue()
-	}
 }

@@ -6,10 +6,11 @@
 // Two loops are provided. The closed loop runs C concurrent clients on the
 // wall clock, each issuing its next request as soon as the previous one
 // completes — the classic saturation benchmark, and the mode the
-// loadgen-smoke CI check runs. The open loop replays a seeded Poisson
-// arrival process on a manual clock, single-threaded and fully
-// deterministic: the same seed produces byte-identical reports across runs
-// and machines, which is what makes the shard-sweep tables reproducible.
+// loadgen-smoke CI check runs. The open loop is internal/replay's
+// virtual-time driver over a seeded Poisson trace built in memory,
+// single-threaded and fully deterministic: the same seed produces
+// byte-identical reports across runs and machines, which is what makes the
+// shard-sweep tables reproducible.
 //
 // In keeping with the noprint rule, this package only returns Report
 // values; rendering belongs to cmd/loadgen.
@@ -25,8 +26,9 @@ import (
 	"deepbat/internal/fault"
 	"deepbat/internal/gateway"
 	"deepbat/internal/lambda"
-	"deepbat/internal/obs"
+	"deepbat/internal/replay"
 	"deepbat/internal/stats"
+	"deepbat/internal/workload"
 )
 
 // Config parameterizes one load run against a fresh gateway.
@@ -52,10 +54,6 @@ type Config struct {
 	// FaultErrorRate injects backend failures at this rate (0 = none),
 	// seeded by Seed, through a fault.FaultyBackend.
 	FaultErrorRate float64
-	// Legacy drives the channel-per-request Enqueue path instead of the
-	// pooled Submit/Do path — the baseline the sharded zero-alloc path is
-	// compared against.
-	Legacy bool
 }
 
 // Report is the outcome of one run. All latency figures are milliseconds on
@@ -66,7 +64,6 @@ type Report struct {
 	// runs and for fleet totals).
 	Class         string  `json:"class,omitempty"`
 	Shards        int     `json:"shards"`
-	Legacy        bool    `json:"legacy"`
 	Requests      int     `json:"requests"` // issued
 	Served        int     `json:"served"`   // answered without error
 	Failed        int     `json:"failed"`   // answered with an error
@@ -86,22 +83,24 @@ func (c Config) initial() lambda.Config {
 	return lambda.Config{MemoryMB: 2048, BatchSize: 1, TimeoutS: 0}
 }
 
-// build constructs the gateway under test on the given clock.
-func (c Config) build(clock obs.Clock, initial lambda.Config) (*gateway.Gateway, error) {
+// faultPlan is the backend fault schedule both loops inject (inactive at
+// FaultErrorRate 0).
+func (c Config) faultPlan() fault.Plan {
+	return fault.Plan{Seed: c.Seed, ErrorRate: c.FaultErrorRate}
+}
+
+// build constructs the closed loop's gateway under test, on the wall clock.
+func (c Config) build() (*gateway.Gateway, error) {
 	var backend gateway.Backend = gateway.SimulatedBackend{
 		Profile: lambda.DefaultProfile(),
 		Pricing: lambda.DefaultPricing(),
 	}
-	if c.FaultErrorRate > 0 {
-		backend = &fault.FaultyBackend{
-			Inner: backend,
-			Inj:   fault.NewInjector(fault.Plan{Seed: c.Seed, ErrorRate: c.FaultErrorRate}),
-		}
+	if p := c.faultPlan(); p.Active() {
+		backend = &fault.FaultyBackend{Inner: backend, Inj: fault.NewInjector(p)}
 	}
 	return gateway.New(backend, nil, gateway.Config{
-		Initial: initial,
+		Initial: c.initial(),
 		SLO:     c.SLO,
-		Clock:   clock,
 		Shards:  c.Shards,
 	})
 }
@@ -132,11 +131,10 @@ func (t *tally) observe(resp gateway.Response, sloMS float64) {
 	}
 }
 
-func (t *tally) report(mode string, c Config, shards int, elapsedS, costUSD float64) Report {
+func (t *tally) report(shards int, elapsedS, costUSD float64) Report {
 	r := Report{
-		Mode:         mode,
+		Mode:         "closed",
 		Shards:       shards,
-		Legacy:       c.Legacy,
 		Requests:     t.served + t.failed,
 		Served:       t.served,
 		Failed:       t.failed,
@@ -164,7 +162,7 @@ func RunClosed(c Config) (Report, error) {
 	if clients <= 0 {
 		clients = 1
 	}
-	g, err := c.build(nil, c.initial())
+	g, err := c.build()
 	if err != nil {
 		return Report{}, fmt.Errorf("loadgen: %w", err)
 	}
@@ -185,13 +183,7 @@ func RunClosed(c Config) (Report, error) {
 				if !deadline.IsZero() && !time.Now().Before(deadline) {
 					return
 				}
-				var resp gateway.Response
-				if c.Legacy {
-					resp = <-g.Enqueue()
-				} else {
-					resp = g.Do()
-				}
-				t.observe(resp, sloMS)
+				t.observe(g.Do(), sloMS)
 			}
 		}(&parts[w])
 	}
@@ -205,61 +197,89 @@ func RunClosed(c Config) (Report, error) {
 		merged.failed += parts[i].failed
 		merged.good += parts[i].good
 	}
-	return merged.report("closed", c, g.Shards(), elapsed, g.Stats().TotalCostUSD), nil
+	return merged.report(g.Shards(), elapsed, g.Stats().TotalCostUSD), nil
 }
 
-// RunOpen replays a seeded Poisson arrival process on a manual clock:
-// Requests arrivals at RateRPS, submitted single-threaded in arrival order,
-// with batches dispatching synchronously by size and the final partial
-// batch flushed at Stop. The run is fully deterministic — same Config,
-// same Report — across runs, machines, and GOMAXPROCS values, which is
-// what makes shard-sweep tables comparable.
-func RunOpen(c Config) (Report, error) {
+// poissonTrace builds the open loops' arrival stream as an in-memory tracev1:
+// the first n arrivals of one Poisson process per class — class i at
+// rates[i] req/s (0 = idle) from its own rng seeded seeds[i] — merged by
+// arrival time, ties to the lower class index. The header's zero horizon
+// makes the replayed duration the last arrival's timestamp.
+func poissonTrace(seed int64, classes []string, rates []float64, seeds []int64, n int) *workload.Trace {
+	spec := workload.Spec{Name: "poisson", Seed: seed}
+	tr := &workload.Trace{
+		Header: workload.Header{Version: workload.Version, Name: spec.Name, Seed: seed, Spec: spec, Classes: classes},
+		Reqs:   make([]workload.Request, 0, n),
+	}
+	rngs := make([]*rand.Rand, len(classes))
+	next := make([]float64, len(classes))
+	for i, rate := range rates {
+		if rate > 0 {
+			rngs[i] = rand.New(rand.NewSource(seeds[i]))
+			next[i] = rngs[i].ExpFloat64() / rate
+		}
+	}
+	for len(tr.Reqs) < n {
+		ci := -1
+		for i := range rngs {
+			if rngs[i] != nil && (ci < 0 || next[i] < next[ci]) {
+				ci = i
+			}
+		}
+		tr.Reqs = append(tr.Reqs, workload.Request{AtS: next[ci], Class: uint8(ci)})
+		next[ci] += rngs[ci].ExpFloat64() / rates[ci]
+	}
+	return tr
+}
+
+// openReplay validates the open-loop fields and returns the replay the run
+// is: Requests Poisson arrivals at RateRPS through a fresh gateway on virtual
+// time.
+func (c Config) openReplay() (replay.Config, error) {
 	if c.Requests <= 0 {
-		return Report{}, errors.New("loadgen: open loop needs Requests")
+		return replay.Config{}, errors.New("loadgen: open loop needs Requests")
 	}
 	if c.RateRPS <= 0 {
-		return Report{}, errors.New("loadgen: open loop needs RateRPS")
+		return replay.Config{}, errors.New("loadgen: open loop needs RateRPS")
 	}
-	initial := c.initial()
-	if initial.BatchSize > 1 {
-		// Virtual time cannot drive wall-clock batch timers; park the
-		// timeout far out so dispatch is by size (plus the Stop flush),
-		// keeping the run deterministic.
-		initial.TimeoutS = 3600
+	return replay.Config{
+		Trace:   poissonTrace(c.Seed, []string{"open"}, []float64{c.RateRPS}, []int64{c.Seed}, c.Requests),
+		Initial: c.initial(),
+		Shards:  c.Shards,
+		SLO:     c.SLO,
+		Fault:   c.faultPlan(),
+	}, nil
+}
+
+// RunOpen replays a seeded Poisson arrival process — Requests arrivals at
+// RateRPS — through replay.Run: submitted single-threaded in arrival order
+// on a manual clock, batches dispatching by size or by their virtual
+// timeout, service time charged to the same clock, the final partial batches
+// flushed at Stop. The run is fully deterministic — same Config, same
+// Report — across runs, machines, and GOMAXPROCS values, which is what makes
+// shard-sweep tables comparable.
+func RunOpen(c Config) (Report, error) {
+	rc, err := c.openReplay()
+	if err != nil {
+		return Report{}, err
 	}
-	clock := &obs.ManualClock{}
-	g, err := c.build(clock, initial)
+	rep, err := replay.Run(rc)
 	if err != nil {
 		return Report{}, fmt.Errorf("loadgen: %w", err)
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	handles := make([]gateway.Handle, 0, c.Requests)
-	var legacy []<-chan gateway.Response
-	for i := 0; i < c.Requests; i++ {
-		if i > 0 {
-			clock.Advance(rng.ExpFloat64() / c.RateRPS)
-		}
-		if c.Legacy {
-			legacy = append(legacy, g.Enqueue())
-		} else {
-			handles = append(handles, g.Submit())
-		}
-	}
-	elapsed := clock.Now()
-	g.Stop() // flush partial batches; joins the legacy path's executors
-	var merged tally
-	sloMS := c.SLO * 1000
-	for _, h := range handles {
-		merged.observe(h.Wait(), sloMS)
-	}
-	for _, ch := range legacy {
-		merged.observe(<-ch, sloMS)
-	}
-	if elapsed <= 0 {
-		// Degenerate single-arrival runs: report over one interarrival so
-		// rates stay finite.
-		elapsed = 1 / c.RateRPS
-	}
-	return merged.report("open", c, g.Shards(), elapsed, g.Stats().TotalCostUSD), nil
+	t := rep.Totals
+	return Report{
+		Mode:          "open",
+		Shards:        rep.Shards,
+		Requests:      t.Arrivals,
+		Served:        t.Served,
+		Failed:        t.Failed,
+		ElapsedS:      t.EndS,
+		ThroughputRPS: t.ThroughputRPS,
+		GoodputRPS:    t.GoodputRPS,
+		P50MS:         t.P50MS,
+		P95MS:         t.P95MS,
+		P99MS:         t.P99MS,
+		TotalCostUSD:  rep.CostUSD,
+	}, nil
 }

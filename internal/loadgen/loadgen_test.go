@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"deepbat/internal/lambda"
+	"deepbat/internal/obs"
+	"deepbat/internal/replay"
 )
 
 func TestClosedLoopServesEverything(t *testing.T) {
@@ -31,16 +33,6 @@ func TestClosedLoopServesEverything(t *testing.T) {
 	}
 	if r.TotalCostUSD <= 0 {
 		t.Fatalf("no cost accounted: %+v", r)
-	}
-}
-
-func TestClosedLoopLegacyPath(t *testing.T) {
-	r, err := RunClosed(Config{SLO: 1, Clients: 2, Requests: 25, Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Legacy || r.Served != 50 || r.Failed != 0 {
-		t.Fatalf("legacy run wrong: %+v", r)
 	}
 }
 
@@ -79,6 +71,46 @@ func TestOpenLoopDeterministic(t *testing.T) {
 	}
 	if a.GoodputRPS <= 0 {
 		t.Fatalf("no goodput: %+v", a)
+	}
+}
+
+// TestOpenLoopBatchTimeoutsFire pins what the open loop gained by becoming a
+// replay: with B > 1 and a short T, sparse arrivals dispatch by their virtual
+// batch timeout (not only by size or the Stop flush), and latencies are
+// bounded by T plus service time.
+func TestOpenLoopBatchTimeoutsFire(t *testing.T) {
+	cfg := Config{
+		Initial:  lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 0.02},
+		Shards:   1,
+		SLO:      0.5,
+		Requests: 300,
+		RateRPS:  50,
+		Seed:     5,
+	}
+	r, err := RunOpen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Served != 300 || r.Failed != 0 {
+		t.Fatalf("report = %+v, want all 300 served", r)
+	}
+	if r.P99MS <= 20 || r.P99MS > 500 {
+		t.Fatalf("p99 = %.1f ms, want above the 20 ms timer and bounded by timer + service time", r.P99MS)
+	}
+	rc, err := cfg.openReplay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Obs = obs.NewRegistry()
+	if _, err := replay.Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	c, err := rc.Obs.Counter("gateway_dispatch_timeout_total", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Value() <= 0 {
+		t.Fatal("gateway_dispatch_timeout_total = 0: no batch dispatched by its virtual timeout")
 	}
 }
 

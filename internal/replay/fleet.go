@@ -1,10 +1,10 @@
 package replay
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
+	"deepbat/internal/fault"
 	"deepbat/internal/fleet"
 	"deepbat/internal/gateway"
 	"deepbat/internal/lambda"
@@ -52,6 +52,7 @@ type FleetGroupRow struct {
 	Group       int     `json:"group"`
 	Classes     string  `json:"classes"`
 	Config      string  `json:"config"`
+	Shards      int     `json:"shards"`
 	SLO         float64 `json:"slo_s"`
 	Invocations int     `json:"invocations"`
 	CostUSD     float64 `json:"cost_usd"`
@@ -78,21 +79,16 @@ type FleetReport struct {
 // modeled instants via the fleet's virtual timers, and each group's backend
 // charges its deterministic service time to the shared clock.
 func RunFleet(c FleetConfig) (FleetReport, error) {
-	if c.Trace == nil {
-		return FleetReport{}, errors.New("replay: FleetConfig.Trace is required")
-	}
-	if len(c.Trace.Reqs) == 0 {
-		return FleetReport{}, errors.New("replay: trace has no requests")
-	}
-	var digest uint64
-	var err error
-	if c.Cache != nil {
-		digest, err = c.Cache.Digest(c.Trace)
-	} else {
-		digest, err = workload.Digest(c.Trace)
-	}
+	return runFleet(c, fault.Plan{})
+}
+
+// runFleet is RunFleet with every group's backend behind its own injector of
+// one fault plan (inactive = none), as Config.Fault does for Run. It is how
+// the differential test puts both entry points under the same fault stream.
+func runFleet(c FleetConfig, fp fault.Plan) (FleetReport, error) {
+	digest, ts, err := admit(c.Trace, c.Cache, c.TimeScale)
 	if err != nil {
-		return FleetReport{}, fmt.Errorf("replay: %w", err)
+		return FleetReport{}, err
 	}
 	// Route trace classes to plan classes by name, up front: a trace class
 	// the plan does not serve is a configuration error, not a per-request
@@ -104,10 +100,6 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 			return FleetReport{}, fmt.Errorf("replay: trace class %q is not a plan class", name)
 		}
 		classMap[ti] = ci
-	}
-	ts := 1.0
-	if c.TimeScale > 0 {
-		ts = c.TimeScale
 	}
 	clock := &obs.ManualClock{}
 	f, err := fleet.New(c.Plan, fleet.Options{
@@ -121,13 +113,14 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 					lead = c.Plan.Classes[ci]
 				}
 			}
-			return clockBackend{
-				inner: gateway.SimulatedBackend{
-					Profile: lambda.Profiles[g.Profile],
-					Pricing: lead.LambdaPricing(),
-				},
-				clock: clock,
+			var inner gateway.Backend = gateway.SimulatedBackend{
+				Profile: lambda.Profiles[g.Profile],
+				Pricing: lead.LambdaPricing(),
 			}
+			if fp.Active() {
+				inner = &fault.FaultyBackend{Inner: inner, Inj: fault.NewInjector(fp)}
+			}
+			return clockBackend{inner: inner, clock: clock}
 		},
 	})
 	if err != nil {
@@ -137,25 +130,7 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 	reqs := c.Trace.Reqs
 	handles := make([]gateway.Handle, len(reqs))
 	arrive := make([]float64, len(reqs))
-	classes := make([]int, len(reqs))
-	for i, rq := range reqs {
-		at := rq.AtS / ts
-		fleetFlushUntil(f, clock, at)
-		clock.Set(at)
-		arrive[i] = at
-		ci := classMap[rq.Class]
-		classes[i] = ci
-		handles[i] = f.Submit(ci)
-	}
-	end := c.Trace.Duration() / ts
-	if last := arrive[len(arrive)-1]; last > end {
-		end = last
-	}
-	fleetFlushUntil(f, clock, end)
-	if clock.Now() < end {
-		clock.Set(end)
-	}
-	f.Stop()
+	end := drive(f, clock, c.Trace, ts, classMap, handles, arrive)
 
 	// Fold responses per class. Handles resolve in submission order.
 	rows := make([]FleetClassRow, len(c.Plan.Classes))
@@ -166,7 +141,7 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 	totalGood := 0
 	for i, h := range handles {
 		resp := h.Wait()
-		ci := classes[i]
+		ci := classMap[reqs[i].Class]
 		row := &rows[ci]
 		row.Arrivals++
 		totals.Arrivals++
@@ -224,11 +199,13 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 			}
 			names += c.Plan.Classes[ci].Name
 		}
-		st := f.GroupGateway(gi).Stats()
+		g := f.GroupGateway(gi)
+		st := g.Stats()
 		rep.Groups = append(rep.Groups, FleetGroupRow{
 			Group:       gi,
 			Classes:     names,
 			Config:      grp.Config.String(),
+			Shards:      g.Shards(),
 			SLO:         grp.SLO,
 			Invocations: st.Invocations,
 			CostUSD:     st.TotalCostUSD,
@@ -237,19 +214,6 @@ func RunFleet(c FleetConfig) (FleetReport, error) {
 		rep.CostUSD += st.TotalCostUSD
 	}
 	return rep, nil
-}
-
-// fleetFlushUntil dispatches every virtual batch timeout due at or before t,
-// in deadline order across all groups.
-func fleetFlushUntil(f *fleet.Fleet, clock *obs.ManualClock, t float64) {
-	for {
-		d, ok := f.NextFlushDeadline()
-		if !ok || d > t {
-			return
-		}
-		clock.Set(d)
-		f.FlushDue()
-	}
 }
 
 // WriteText renders the fleet report as a fixed-format text table — byte-

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"deepbat/internal/fault"
 	"deepbat/internal/fleet"
+	"deepbat/internal/gateway"
+	"deepbat/internal/lambda"
 	"deepbat/internal/workload"
 )
 
@@ -177,5 +180,65 @@ func TestRunFleetWithCache(t *testing.T) {
 	}
 	if a.TraceDigest != b.TraceDigest || a.TraceDigest == "" {
 		t.Fatalf("cached digests %q vs %q", a.TraceDigest, b.TraceDigest)
+	}
+}
+
+// TestRunAndRunFleetAgree is the differential check the shared driver makes
+// cheap: a one-class trace through Run and through RunFleet with the
+// equivalent one-class plan (same configuration, one shard, the plan's
+// mandatory SLO) must agree exactly on everything both reports state — with
+// a clean backend and under one fault plan with retries.
+func TestRunAndRunFleetAgree(t *testing.T) {
+	tr := testTrace(t, "azure")
+	initial := lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05}
+	const slo = 0.1
+	cases := []struct {
+		name    string
+		fault   fault.Plan
+		retries int
+	}{
+		{name: "clean"},
+		{name: "faults-and-retries", fault: fault.Plan{Seed: 3, ErrorRate: 0.2, StragglerRate: 0.1}, retries: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			one, err := Run(Config{
+				Trace: tr, Initial: initial, Shards: 1, SLO: slo,
+				Fault:      tc.fault,
+				Resilience: gateway.Resilience{MaxRetries: tc.retries},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := fleet.ClassSpec{
+				Name: tr.Header.Classes[0], SLO: slo, Shards: 1,
+				Initial: &fleet.ConfigSpec{MemoryMB: initial.MemoryMB, BatchSize: initial.BatchSize, TimeoutS: initial.TimeoutS},
+			}
+			if tc.retries > 0 {
+				spec.Resilience = &fleet.ResilienceSpec{MaxRetries: tc.retries}
+			}
+			many, err := runFleet(FleetConfig{Trace: tr, Plan: fleet.Plan{Classes: []fleet.ClassSpec{spec}}}, tc.fault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type totals struct {
+				served, failed, invocations int
+				costUSD, goodRPS            float64
+				p50, p95, p99               float64
+			}
+			a := totals{one.Totals.Served, one.Totals.Failed, one.Invocations,
+				one.CostUSD, one.Totals.GoodputRPS, one.Totals.P50MS, one.Totals.P95MS, one.Totals.P99MS}
+			b := totals{many.Totals.Served, many.Totals.Failed, many.Invocations,
+				many.CostUSD, many.Totals.GoodputRPS, many.Totals.P50MS, many.Totals.P95MS, many.Totals.P99MS}
+			if a != b {
+				t.Fatalf("Run and RunFleet disagree:\n   Run: %+v\n fleet: %+v", a, b)
+			}
+			if tc.retries > 0 && a.failed == 0 {
+				t.Fatal("20% errors with one retry failed nothing: the fault plan never reached the backend")
+			}
+			if a.served+a.failed != len(tr.Reqs) {
+				t.Fatalf("served %d + failed %d != %d requests", a.served, a.failed, len(tr.Reqs))
+			}
+		})
 	}
 }

@@ -2,16 +2,18 @@
 // the discrete-event simulator) from a recorded workload trace on an
 // injected manual clock.
 //
-// The driver is single-threaded and fully virtual-time: arrivals are taken
-// from the trace (optionally compressed by a time-scale factor), the
-// gateway runs with Config.VirtualTimers so batch timeouts fire exactly at
-// their modeled instants via NextFlushDeadline/FlushDue, and a clock-
-// advancing backend charges each invocation's deterministic service time to
-// the same clock. The result: every latency, dispatch cause, and cost in
-// the report is a pure function of (trace bytes, replay config) — the same
-// trace file and seed produce byte-identical reports across runs, machines,
-// and GOMAXPROCS values. That is the property `make replay-smoke` pins in
-// CI and the scenarios experiment builds its tables on.
+// The driver (drive, below) is single-threaded and fully virtual-time, and
+// it is the only one: Run puts a single gateway behind it, RunFleet a fleet,
+// and internal/loadgen's open loops are Run/RunFleet over a Poisson trace.
+// Arrivals are taken from the trace (optionally compressed by a time-scale
+// factor), the gateways run with Config.VirtualTimers so batch timeouts fire
+// exactly at their modeled instants via NextFlushDeadline/FlushDue, and a
+// clock-advancing backend charges each invocation's deterministic service
+// time to the same clock. The result: every latency, dispatch cause, and
+// cost in the report is a pure function of (trace bytes, replay config) — the
+// same trace file and seed produce byte-identical reports across runs,
+// machines, and GOMAXPROCS values. That is the property `make replay-smoke`
+// pins in CI and the scenarios experiment builds its tables on.
 //
 // In keeping with the noprint rule this package only returns Report values
 // and renders them to an io.Writer on request; printing belongs to
@@ -135,13 +137,6 @@ func (c Config) initial() lambda.Config {
 	return lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.1}
 }
 
-func (c Config) timeScale() float64 {
-	if c.TimeScale > 0 {
-		return c.TimeScale
-	}
-	return 1
-}
-
 func (c Config) windowS() float64 {
 	if c.WindowS > 0 {
 		return c.WindowS
@@ -149,11 +144,28 @@ func (c Config) windowS() float64 {
 	return 60
 }
 
-func (c Config) digest() (uint64, error) {
-	if c.Cache != nil {
-		return c.Cache.Digest(c.Trace)
+// admit is the start of every replay: it rejects a missing or empty trace
+// and returns the trace's digest (through the cache when there is one) and
+// the effective time scale (0 = 1).
+func admit(tr *workload.Trace, cache *workload.Cache, timeScale float64) (digest uint64, ts float64, err error) {
+	if tr == nil {
+		return 0, 0, errors.New("replay: Trace is required")
 	}
-	return workload.Digest(c.Trace)
+	if len(tr.Reqs) == 0 {
+		return 0, 0, errors.New("replay: trace has no requests")
+	}
+	if cache != nil {
+		digest, err = cache.Digest(tr)
+	} else {
+		digest, err = workload.Digest(tr)
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("replay: %w", err)
+	}
+	if timeScale <= 0 {
+		timeScale = 1
+	}
+	return digest, timeScale, nil
 }
 
 // scratch is the per-run working set Run needs besides the Report itself:
@@ -211,17 +223,10 @@ func putScratch(s *scratch) {
 
 // Run replays the trace and returns its report.
 func Run(c Config) (Report, error) {
-	if c.Trace == nil {
-		return Report{}, errors.New("replay: Config.Trace is required")
-	}
-	if len(c.Trace.Reqs) == 0 {
-		return Report{}, errors.New("replay: trace has no requests")
-	}
-	digest, err := c.digest()
+	digest, ts, err := admit(c.Trace, c.Cache, c.TimeScale)
 	if err != nil {
-		return Report{}, fmt.Errorf("replay: %w", err)
+		return Report{}, err
 	}
-	ts := c.timeScale()
 	clock := &obs.ManualClock{}
 	var inner gateway.Backend = gateway.SimulatedBackend{
 		Profile: lambda.DefaultProfile(),
@@ -244,31 +249,11 @@ func Run(c Config) (Report, error) {
 		return Report{}, fmt.Errorf("replay: %w", err)
 	}
 
-	// Drive trace time through the gateway: before each arrival, honour
-	// every virtual batch timeout due at or before it (clock jumps to the
-	// deadline, the shard's batch dispatches with causeTimeout, and the
-	// backend advance is then superseded by the next Set), then stamp the
-	// arrival and submit on the pooled hot path.
 	reqs := c.Trace.Reqs
 	s := getScratch(len(reqs))
 	defer putScratch(s)
 	handles, arrive := s.handles, s.arrive
-	for i, rq := range reqs {
-		at := rq.AtS / ts
-		flushUntil(g, clock, at)
-		clock.Set(at)
-		arrive[i] = at
-		handles[i] = g.Submit()
-	}
-	end := c.Trace.Duration() / ts
-	if last := arrive[len(arrive)-1]; last > end {
-		end = last
-	}
-	flushUntil(g, clock, end)
-	if clock.Now() < end {
-		clock.Set(end)
-	}
-	g.Stop() // drains the remaining partial batches in shard order
+	end := drive(single{g}, clock, c.Trace, ts, nil, handles, arrive)
 
 	// Fold responses into windows by arrival time. Handles resolve in
 	// submission order; responses were delivered during dispatch (buffered
@@ -353,16 +338,68 @@ func Run(c Config) (Report, error) {
 	}, nil
 }
 
-// flushUntil dispatches every virtual batch timeout due at or before t, in
-// deadline order (ties broken by shard order inside FlushDue).
-func flushUntil(g *gateway.Gateway, clock *obs.ManualClock, t float64) {
+// target is what the virtual-time driver needs of the system under replay.
+// *fleet.Fleet satisfies it as is; a lone gateway does through single.
+type target interface {
+	Submit(class int) gateway.Handle
+	NextFlushDeadline() (float64, bool)
+	FlushDue() int
+	Stop()
+}
+
+// single puts one gateway behind the driver: every class is the same queue.
+// A 1-class fleet.Plan is not the vehicle for this, because Plan.Validate
+// rejects SLO <= 0 (Run's "no goodput accounting") and a plan's resilience
+// spec cannot carry a gateway.Resilience verbatim (durations become float
+// milliseconds, the jitter PRNG only a seed).
+type single struct{ *gateway.Gateway }
+
+func (s single) Submit(int) gateway.Handle { return s.Gateway.Submit() }
+
+// drive runs trace time through t: before each arrival it honours every
+// virtual batch timeout due at or before it (the clock jumps to the
+// deadline, the batch dispatches with causeTimeout, and the backend's
+// advance is then superseded by the next Set), then stamps the arrival and
+// submits on the pooled hot path. classOf maps a trace class to the class
+// Submit takes (nil = every request is class 0). After the last arrival it
+// flushes up to the trace horizon and stops t, which drains the remaining
+// partial batches in group and shard order; every handle in handles is then
+// resolved, in submission order, and arrive holds the scaled arrival stamps.
+// It returns the replayed horizon.
+func drive(t target, clock *obs.ManualClock, tr *workload.Trace, ts float64, classOf []int, handles []gateway.Handle, arrive []float64) float64 {
+	for i, rq := range tr.Reqs {
+		at := rq.AtS / ts
+		flushUntil(t, clock, at)
+		clock.Set(at)
+		arrive[i] = at
+		class := 0
+		if classOf != nil {
+			class = classOf[rq.Class]
+		}
+		handles[i] = t.Submit(class)
+	}
+	end := tr.Duration() / ts
+	if last := arrive[len(arrive)-1]; last > end {
+		end = last
+	}
+	flushUntil(t, clock, end)
+	if clock.Now() < end {
+		clock.Set(end)
+	}
+	t.Stop()
+	return end
+}
+
+// flushUntil dispatches every virtual batch timeout due at or before until,
+// in deadline order (ties broken by group, then shard, order inside FlushDue).
+func flushUntil(t target, clock *obs.ManualClock, until float64) {
 	for {
-		d, ok := g.NextFlushDeadline()
-		if !ok || d > t {
+		d, ok := t.NextFlushDeadline()
+		if !ok || d > until {
 			return
 		}
 		clock.Set(d)
-		g.FlushDue()
+		t.FlushDue()
 	}
 }
 
