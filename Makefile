@@ -35,14 +35,15 @@ COVER_FLOOR_FLEET   = 80
 
 ## verify: tier-1 gate — formatting, vet, the deepbatlint pass, full build,
 ## and the full test suite, then the packages whose behaviour has depended on
-## the core count (gateway sharding, inference fan-out, Decide) again at
+## the core count (gateway sharding, inference fan-out, Decide, the grid
+## search's partition fan-out and the planner above it) again at
 ## GOMAXPROCS 1, 2 and 4. Every PR must leave this green.
 verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/lint ./...
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/
+	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/ ./internal/qsim/ ./internal/fleet/
 
 ## fmtcheck: fail (listing the files) if any file is not gofmt-clean.
 fmtcheck:

@@ -9,6 +9,7 @@
 package deepbat_test
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,12 +18,14 @@ import (
 	"deepbat/internal/arrival"
 	"deepbat/internal/batchopt"
 	"deepbat/internal/experiments"
+	"deepbat/internal/fleet"
 	"deepbat/internal/lambda"
 	"deepbat/internal/nn"
 	"deepbat/internal/obs"
 	"deepbat/internal/qsim"
 	"deepbat/internal/tensor"
 	"deepbat/internal/trace"
+	"deepbat/internal/workload"
 )
 
 var (
@@ -286,5 +289,56 @@ func BenchmarkGridPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Model.PredictGrid(window, cfgs)
+	}
+}
+
+// planWindows is the repo benchmark's timed plan cell: corrburst 12 h x 1 s,
+// 3 classes, class i's SLO 0.2 s x 4^i, merging on.
+func planWindows(b *testing.B) (fleet.Plan, [][]float64) {
+	spec := workload.DefaultSpec("corrburst")
+	spec.Hours, spec.HourSeconds, spec.Classes, spec.Seed = 12, 1, 3, 1
+	t, err := workload.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := fleet.Plan{Merge: true}
+	windows := make([][]float64, spec.Classes)
+	for i, name := range t.Header.Classes {
+		p.Classes = append(p.Classes, fleet.ClassSpec{Name: name, SLO: 0.2 * math.Pow(4, float64(i)), Shards: 1})
+	}
+	for _, rq := range t.Reqs {
+		windows[rq.Class] = append(windows[rq.Class], rq.AtS)
+	}
+	return p, windows
+}
+
+// BenchmarkGroundTruthBest is one serial grid search over the plan cell's
+// first class window — the unit fleet.Optimize repeats per solo unit and per
+// merge candidate.
+func BenchmarkGroundTruthBest(b *testing.B) {
+	p, windows := planWindows(b)
+	sim := qsim.New(lambda.DefaultProfile(), lambda.DefaultPricing())
+	sim.Opts.Workers = 1
+	grid := lambda.DefaultGrid()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sim.GroundTruthBest(windows[0], grid, p.Classes[0].SLO, 95); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(windows[0])), "requests/op")
+}
+
+// BenchmarkFleetOptimize is the repo benchmark's plan op: solo searches plus
+// the merge pass at Workers 1.
+func BenchmarkFleetOptimize(b *testing.B) {
+	p, windows := planWindows(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fleet.Optimize(p, windows, fleet.OptimizerConfig{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

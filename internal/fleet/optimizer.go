@@ -11,6 +11,7 @@ import (
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/qsim"
+	"deepbat/internal/stats"
 )
 
 // Group is one function group of an assignment: the classes packed onto it,
@@ -146,6 +147,14 @@ func mergeSorted(a, b []float64) []float64 {
 // groups' predicted costs — otherwise the units stay apart. The result is a
 // pure function of (plan, windows, config) at any Workers value.
 func Optimize(p Plan, windows [][]float64, oc OptimizerConfig) (*Assignment, error) {
+	return optimize(p, windows, oc, (*qsim.Simulator).GroundTruthBest)
+}
+
+// gridSearch is the signature of qsim's GroundTruthBest; tests plan with an
+// exhaustive reference in its place.
+type gridSearch func(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, *qsim.Result, error)
+
+func optimize(p Plan, windows [][]float64, oc OptimizerConfig, best gridSearch) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,6 +166,20 @@ func Optimize(p Plan, windows [][]float64, oc OptimizerConfig) (*Assignment, err
 		return nil, errors.New("fleet: empty search grid")
 	}
 	pct := oc.pct()
+	// search is one ground-truth grid search for unit u's profile, pricing
+	// and SLO over arrivals: the chosen config, its predicted cost, and
+	// whether its tail met the SLO. The Result is the search's own, so the
+	// tail is read by selection in place, once.
+	search := func(u *unit, arrivals []float64) (lambda.Config, float64, bool, error) {
+		sim := qsim.New(lambda.Profiles[u.profile], u.pricing)
+		sim.Opts.Workers = oc.Workers
+		cfg, res, err := best(sim, arrivals, grid, u.slo, pct)
+		if err != nil {
+			return lambda.Config{}, 0, false, err
+		}
+		tail, _ := stats.PercentileSelect(res.Latencies, pct) // a Result is never empty
+		return cfg, res.TotalCost, tail <= u.slo, nil
+	}
 
 	// Phase 1: solo search per static unit.
 	units := make([]*unit, 0, len(p.Classes))
@@ -178,15 +201,10 @@ func Optimize(p Plan, windows [][]float64, oc OptimizerConfig) (*Assignment, err
 			units = append(units, u)
 			continue
 		}
-		sim := qsim.New(lambda.Profiles[u.profile], u.pricing)
-		sim.Opts.Workers = oc.Workers
-		cfg, res, err := sim.GroundTruthBest(u.arrivals, grid, u.slo, pct)
-		if err != nil {
+		var err error
+		if u.cfg, u.cost, u.feasible, err = search(u, u.arrivals); err != nil {
 			return nil, fmt.Errorf("fleet: unit search: %w", err)
 		}
-		u.cfg = cfg
-		u.cost = res.TotalCost
-		u.feasible = res.LatencyPercentile(pct) <= u.slo
 		units = append(units, u)
 	}
 	splitCost := 0.0
@@ -223,19 +241,17 @@ func Optimize(p Plan, windows [][]float64, oc OptimizerConfig) (*Assignment, err
 						continue
 					}
 					arrivals := mergeSorted(g.arrivals, u.arrivals)
-					sim := qsim.New(lambda.Profiles[g.profile], g.pricing)
-					sim.Opts.Workers = oc.Workers
-					cfg, res, err := sim.GroundTruthBest(arrivals, grid, g.slo, pct)
+					cfg, cost, feasible, err := search(g, arrivals)
 					if err != nil {
 						return nil, fmt.Errorf("fleet: merge search: %w", err)
 					}
-					if res.LatencyPercentile(pct) > g.slo || res.TotalCost >= g.cost+u.cost {
+					if !feasible || cost >= g.cost+u.cost {
 						continue
 					}
 					g.members = append(g.members, u.members...)
 					g.arrivals = arrivals
 					g.cfg = cfg
-					g.cost = res.TotalCost
+					g.cost = cost
 					merged = true
 					break
 				}

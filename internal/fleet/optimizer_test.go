@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/qsim"
+	"deepbat/internal/workload"
 )
 
 // propGrid keeps the property sweep's grid searches fast while leaving the
@@ -201,5 +205,84 @@ func TestStaticAssignmentMergeWith(t *testing.T) {
 	}
 	if a.ByClass[0] != a.ByClass[1] || a.ByClass[2] == a.ByClass[0] {
 		t.Errorf("ByClass = %v, want a+b together, c apart", a.ByClass)
+	}
+}
+
+// exhaustiveBest is the reference grid search: a full Run of every config,
+// every Result kept, every tail read off a sorted copy.
+func exhaustiveBest(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, *qsim.Result, error) {
+	type scored struct {
+		cfg  lambda.Config
+		res  *qsim.Result
+		tail float64
+	}
+	var all []scored
+	for _, cfg := range grid.Configs() {
+		res, err := sim.Run(arrivals, cfg)
+		if err != nil {
+			return lambda.Config{}, nil, err
+		}
+		all = append(all, scored{cfg, res, res.LatencyPercentile(pct)})
+	}
+	best := -1
+	for i, sc := range all {
+		if sc.tail <= slo && (best < 0 || sc.res.CostPerRequest() < all[best].res.CostPerRequest()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		sort.Slice(all, func(i, j int) bool { return all[i].tail < all[j].tail })
+		best = 0
+	}
+	return all[best].cfg, all[best].res, nil
+}
+
+// TestOptimizeMatchesExhaustive plans the fleet experiment's matrix ({2, 3}
+// classes x SLO spread {1, 4} x merge on/off, over corrburst windows a fifth
+// of the experiment's length, plus a base SLO nothing can meet) with the
+// scoring search and with the exhaustive reference: the assignments must
+// serialise to the same bytes.
+func TestOptimizeMatchesExhaustive(t *testing.T) {
+	for _, classes := range []int{2, 3} {
+		spec := workload.DefaultSpec("corrburst")
+		spec.Hours, spec.HourSeconds, spec.Classes = 2, 6, classes
+		tr, err := workload.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := make([][]float64, classes)
+		for _, rq := range tr.Reqs {
+			windows[rq.Class] = append(windows[rq.Class], rq.AtS)
+		}
+		for _, base := range []float64{0.2, 1e-6} {
+			for _, spread := range []float64{1, 4} {
+				for _, merge := range []bool{false, true} {
+					p := Plan{Merge: merge}
+					for i, name := range tr.Header.Classes {
+						p.Classes = append(p.Classes, ClassSpec{Name: name, SLO: base * math.Pow(spread, float64(i))})
+					}
+					oc := OptimizerConfig{Workers: 1}
+					got, err := Optimize(p, windows, oc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := optimize(p, windows, oc, exhaustiveBest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gb, err := json.Marshal(got)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wb, err := json.Marshal(want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(gb, wb) {
+						t.Errorf("%d classes, base %g, spread %g, merge %v:\n got %s\nwant %s", classes, base, spread, merge, gb, wb)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,13 +10,11 @@ package qsim
 
 import (
 	"errors"
-	"sort"
 
 	"deepbat/internal/fault"
 	"deepbat/internal/lambda"
 	"deepbat/internal/obs"
 	"deepbat/internal/stats"
-	"deepbat/internal/sweep"
 )
 
 // Options controls optional simulator behaviour.
@@ -52,12 +50,13 @@ type Options struct {
 	// exact). A batch that exhausts its retries fails: its requests get a
 	// time-to-failure latency, zero cost, and a Result.Failed mark.
 	Retry fault.Retry
-	// Workers bounds the parallel fan-out of multi-run entry points —
-	// GroundTruthBest's grid search — via internal/sweep (0 = GOMAXPROCS,
-	// 1 = serial). Each grid config is one independent pure Run, so results
-	// and the selected config are bit-identical at any worker count. The
-	// fan-out engages only when Obs and Recorder are nil: shared sinks would
-	// interleave nondeterministically, so instrumented searches stay serial.
+	// Workers bounds the fan-out of GroundTruthBest's cost pass over the
+	// grid's (B, T) partitions via internal/sweep (0 = GOMAXPROCS,
+	// 1 = serial). Costs land at their grid index, so the selected config is
+	// bit-identical at any worker count. Searches that must Run every config
+	// (cold starts, a concurrency cap, an active fault plan, an Obs or
+	// Recorder sink) are serial: platform state and shared sinks do not
+	// split across workers.
 	Workers int
 }
 
@@ -174,6 +173,7 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	tab := newSizeTable(min(cfg.BatchSize, n))
 	var inv uint64 // invocation attempt index, mirrors FaultyBackend's counter
 	// Warm-container pool: times at which containers become idle.
 	var warm []float64
@@ -186,17 +186,8 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 
 	i := 0
 	for i < n {
-		first := arrivals[i]
-		deadline := first + cfg.TimeoutS
-		j := i + 1
-		for j < n && j-i < cfg.BatchSize && arrivals[j] <= deadline {
-			j++
-		}
+		j, dispatch := formBatch(arrivals, i, cfg.BatchSize, cfg.TimeoutS)
 		size := j - i
-		dispatch := deadline
-		if size == cfg.BatchSize {
-			dispatch = arrivals[j-1]
-		}
 		start := dispatch
 		if slots != nil {
 			// Wait for the earliest slot to free up, then occupy it.
@@ -261,7 +252,7 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 		if retryDelay > 0 {
 			execStart = start + retryDelay
 		}
-		svc := s.Profile.ServiceTime(cfg.MemoryMB, size)
+		svc, cost := tab.at(s, cfg.MemoryMB, size)
 		cold := false
 		if s.Opts.EnableColdStarts {
 			cold = !s.takeWarm(&warm, execStart)
@@ -281,7 +272,9 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 		if slots != nil {
 			slots.occupy(execStart + svc)
 		}
-		cost := s.Pricing.InvocationCost(cfg.MemoryMB, svc)
+		if cold || outcome.StragglerFactor > 0 || outcome.ColdSpikeS > 0 {
+			cost = s.Pricing.InvocationCost(cfg.MemoryMB, svc)
+		}
 		batch := Batch{
 			DispatchAt: dispatch, StartAt: start, Size: size, Service: svc, Cost: cost, Cold: cold,
 			Attempts: attempts, RetryDelayS: retryDelay,
@@ -303,6 +296,44 @@ func (s *Simulator) Run(arrivals []float64, cfg lambda.Config) (*Result, error) 
 		i = j
 	}
 	return res, nil
+}
+
+// formBatch applies the B-or-T rule to the batch opened by request i: it
+// closes at request j (exclusive) and dispatches when the batchSize-th request
+// arrives or timeoutS after the first one, whichever comes first. It reads
+// nothing but the arrivals, so every memory size shares one partition.
+func formBatch(arrivals []float64, i, batchSize int, timeoutS float64) (j int, dispatch float64) {
+	deadline := arrivals[i] + timeoutS
+	j = i + 1
+	for j < len(arrivals) && j-i < batchSize && arrivals[j] <= deadline {
+		j++
+	}
+	if j-i == batchSize {
+		return j, arrivals[j-1]
+	}
+	return j, deadline
+}
+
+// sizeTable holds one memory size's service time and uninflated invocation
+// cost by batch size. Both are pure functions of (memory, size), so a stored
+// value is bit for bit what a direct call returns.
+type sizeTable struct{ svc, cost []float64 }
+
+// newSizeTable returns an empty table for batch sizes 1..maxSize.
+func newSizeTable(maxSize int) sizeTable {
+	buf := make([]float64, 2*(maxSize+1))
+	return sizeTable{svc: buf[:maxSize+1], cost: buf[maxSize+1:]}
+}
+
+// at returns the service time and invocation cost of a batch of size requests
+// at memory m, computing them on first use. Zero marks an empty entry; a
+// profile whose service time really is zero is merely recomputed.
+func (t sizeTable) at(s *Simulator, m float64, size int) (svc, cost float64) {
+	if t.svc[size] == 0 {
+		t.svc[size] = s.Profile.ServiceTime(m, size)
+		t.cost[size] = s.Pricing.InvocationCost(m, t.svc[size])
+	}
+	return t.svc[size], t.cost[size]
 }
 
 // slotPool tracks the end times of in-flight invocations under a
@@ -440,63 +471,4 @@ func (s *Simulator) Evaluate(inter []float64, cfg lambda.Config, percentiles []f
 		return Target{}, err
 	}
 	return Target{CostPerRequest: res.CostPerRequest(), Percentiles: ps}, nil
-}
-
-// GroundTruthBest exhaustively simulates every configuration in the grid and
-// returns the cheapest one whose pct-percentile latency meets the SLO,
-// together with its result. If no configuration is feasible it returns the
-// one with the lowest tail latency. This is the paper's "ground truth"
-// oracle.
-func (s *Simulator) GroundTruthBest(arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, *Result, error) {
-	if len(arrivals) == 0 {
-		return lambda.Config{}, nil, ErrNoArrivals
-	}
-	type scored struct {
-		cfg  lambda.Config
-		res  *Result
-		tail float64
-	}
-	configs := grid.Configs()
-	all := make([]scored, len(configs))
-	runOne := func(i int) error {
-		res, err := s.Run(arrivals, configs[i])
-		if err != nil {
-			return err
-		}
-		all[i] = scored{configs[i], res, res.LatencyPercentile(pct)}
-		return nil
-	}
-	if s.Opts.Workers != 1 && s.Opts.Obs == nil && s.Opts.Recorder == nil {
-		// Each config's Run is a pure function of (arrivals, config), so the
-		// grid fans out across workers; results land at their grid index and
-		// the selection below scans them in grid order, keeping the chosen
-		// config bit-identical to a serial search.
-		err := sweep.Run(sweep.Options{Workers: s.Opts.Workers}, len(configs), func(c *sweep.Cell) error {
-			return runOne(c.Index)
-		})
-		if err != nil {
-			return lambda.Config{}, nil, err
-		}
-	} else {
-		for i := range configs {
-			if err := runOne(i); err != nil {
-				return lambda.Config{}, nil, err
-			}
-		}
-	}
-	bestIdx := -1
-	for i, sc := range all {
-		if sc.tail > slo {
-			continue
-		}
-		if bestIdx < 0 || sc.res.CostPerRequest() < all[bestIdx].res.CostPerRequest() {
-			bestIdx = i
-		}
-	}
-	if bestIdx < 0 {
-		// Infeasible everywhere: fall back to the lowest tail latency.
-		sort.Slice(all, func(i, j int) bool { return all[i].tail < all[j].tail })
-		bestIdx = 0
-	}
-	return all[bestIdx].cfg, all[bestIdx].res, nil
 }

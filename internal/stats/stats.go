@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -99,12 +100,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	return percentileSorted(sorted, p), nil
@@ -120,30 +115,124 @@ func Percentiles(xs []float64, ps []float64) ([]float64, error) {
 	sort.Float64s(sorted)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		if p < 0 {
-			p = 0
-		}
-		if p > 100 {
-			p = 100
-		}
 		out[i] = percentileSorted(sorted, p)
 	}
 	return out, nil
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
+	lo, hi, frac := percentileRank(len(sorted), p)
+	return interpolate(sorted[lo], sorted[hi], lo == hi, frac)
+}
+
+// percentileRank returns the two order statistics the p-th percentile (clamped
+// to [0,100]) of n samples lies between, and the weight of the upper one.
+func percentileRank(n int, p float64) (lo, hi int, frac float64) {
 	if n == 1 {
-		return sorted[0]
+		return 0, 0, 0
+	}
+	if p < 0 {
+		p = 0
+	}
+	if p > 100 {
+		p = 100
 	}
 	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	lo = int(math.Floor(rank))
+	return lo, int(math.Ceil(rank)), rank - float64(lo)
+}
+
+// interpolate is the one place the percentile formula is evaluated, so the
+// sorting and the selecting percentile cannot round differently.
+func interpolate(a, b float64, same bool, frac float64) float64 {
+	if same {
+		return a
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac
+}
+
+// PercentileSelect returns exactly what Percentile returns, but finds the two
+// order statistics by selection in xs itself: it REORDERS xs, allocates
+// nothing, and runs in linear expected time instead of sorting a copy.
+//
+//deepbat:hotpath
+func PercentileSelect(xs []float64, p float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	lo, hi, frac := percentileRank(len(xs), p)
+	// sort.Float64s orders NaNs before everything else; move them there so
+	// the rest is totally ordered by <.
+	nan := 0
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			xs[i], xs[nan] = xs[nan], xs[i]
+			nan++
+		}
+	}
+	a, b := math.NaN(), math.NaN()
+	if lo >= nan {
+		selectKth(xs[nan:], lo-nan)
+		a = xs[lo]
+	}
+	if hi > lo && hi >= nan {
+		// Everything right of a selected lo is no smaller than it, so the
+		// next order statistic is that part's minimum.
+		b = xs[hi]
+		for _, x := range xs[hi+1:] {
+			if x < b {
+				b = x
+			}
+		}
+	}
+	return interpolate(a, b, lo == hi, frac), nil
+}
+
+// selectKth reorders xs, which holds no NaN, so that xs[k] is its k-th
+// smallest element, nothing left of k is larger and nothing right of it is
+// smaller: quickselect on a median-of-three pivot, with a sort of the
+// remaining range when the pivots keep splitting badly.
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo >= 12 && budget > 0; budget-- {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		// xs[lo] <= pivot <= xs[hi] bound both scans. Stopping on equal
+		// elements splits runs of duplicates down the middle.
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi], and anything between is the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	sort.Float64s(xs[lo : hi+1])
 }
 
 // MAPE returns the mean absolute percentage error between predictions and

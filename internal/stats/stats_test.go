@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -348,5 +349,106 @@ func TestApproxEqual(t *testing.T) {
 		if got := ApproxEqual(c.a, c.b, c.tol); got != c.want {
 			t.Errorf("ApproxEqual(%v, %v, %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
 		}
+	}
+}
+
+// TestPercentileSelectMatchesPercentile is the selection helper's contract:
+// bit-equal to the sorting Percentile at every n, on integer and non-integer
+// ranks, heavy duplicates, sorted and reverse-sorted input, NaNs (which
+// sort.Float64s orders first) and infinities — and it keeps xs a permutation.
+func TestPercentileSelectMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	ps := []float64{0, 50, 95, 99, 100, 33.3, 97.5, -4, 140}
+	shapes := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			return xs
+		},
+		"duplicates": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(3))
+			}
+			return xs
+		},
+		"constant": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 0.25
+			}
+			return xs
+		},
+		"sorted": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) * 0.1
+			}
+			return xs
+		},
+		"reversed": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n-i) * 0.1
+			}
+			return xs
+		},
+		"organ pipe": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(min(i, n-1-i))
+			}
+			return xs
+		},
+		"nan and inf": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch rng.Intn(6) {
+				case 0:
+					xs[i] = math.NaN()
+				case 1:
+					xs[i] = math.Inf(1 - 2*rng.Intn(2))
+				default:
+					xs[i] = rng.Float64()
+				}
+			}
+			return xs
+		},
+	}
+	var sizes []int
+	for n := 1; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 101, 500, 2000)
+	for name, gen := range shapes {
+		for _, n := range sizes {
+			for _, p := range ps {
+				xs := gen(n)
+				want, err := Percentile(xs, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch := append([]float64(nil), xs...)
+				got, err := PercentileSelect(scratch, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s n=%d p=%v: PercentileSelect = %v, Percentile = %v", name, n, p, got, want)
+				}
+				sort.Float64s(xs)
+				sort.Float64s(scratch)
+				for i := range xs {
+					if math.Float64bits(xs[i]) != math.Float64bits(scratch[i]) && !math.IsNaN(xs[i]) {
+						t.Fatalf("%s n=%d p=%v: PercentileSelect changed the sample", name, n, p)
+					}
+				}
+			}
+		}
+	}
+	if _, err := PercentileSelect(nil, 50); err != ErrEmpty {
+		t.Fatal("empty sample should return ErrEmpty")
 	}
 }

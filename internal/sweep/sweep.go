@@ -60,8 +60,8 @@ type Options struct {
 	Recorder *obs.Recorder
 }
 
-// workers resolves the effective pool size for n cells.
-func (o Options) workers(n int) int {
+// WorkersFor resolves the effective pool size for n cells.
+func (o Options) WorkersFor(n int) int {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -217,7 +217,7 @@ func Run(o Options, n int, fn func(c *Cell) error) error {
 		r.cells[i].Index = i
 		r.cells[i].Seed = CellSeed(o.Seed, i)
 	}
-	if w := o.workers(n); w <= 1 {
+	if w := o.WorkersFor(n); w <= 1 {
 		r.drain()
 	} else {
 		var wg sync.WaitGroup
