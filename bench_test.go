@@ -11,6 +11,7 @@ package deepbat_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,11 +19,14 @@ import (
 	"deepbat/internal/arrival"
 	"deepbat/internal/batchopt"
 	"deepbat/internal/experiments"
+	"deepbat/internal/fault"
 	"deepbat/internal/fleet"
+	"deepbat/internal/gateway"
 	"deepbat/internal/lambda"
 	"deepbat/internal/nn"
 	"deepbat/internal/obs"
 	"deepbat/internal/qsim"
+	"deepbat/internal/replay"
 	"deepbat/internal/tensor"
 	"deepbat/internal/trace"
 	"deepbat/internal/workload"
@@ -328,6 +332,55 @@ func BenchmarkGroundTruthBest(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(windows[0])), "requests/op")
+}
+
+// BenchmarkReplayRun is one pass of the repo benchmark's serve-replay
+// workload at seed 1: the eight zoo traces at 8 paper-hours through
+// replay.Run at M=2048MB B=4 T=100ms, Shards 1, SLO 0.2 s, then the first of
+// them again against a 2 %-faulty backend with four retries. Its figures are
+// per replayed request, so passes of any size compare.
+func BenchmarkReplayRun(b *testing.B) {
+	cache := workload.NewCache()
+	var configs []replay.Config
+	requests := 0
+	for _, name := range workload.Names() {
+		spec := workload.DefaultSpec(name)
+		spec.Hours, spec.Seed = 8, 1
+		t, err := cache.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cache.Digest(t); err != nil {
+			b.Fatal(err)
+		}
+		configs = append(configs, replay.Config{
+			Trace: t, Initial: lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.1},
+			Shards: 1, SLO: 0.2, Cache: cache,
+		})
+		requests += len(t.Reqs)
+	}
+	faulted := configs[0]
+	faulted.Fault = fault.Plan{Seed: 1, ErrorRate: 0.02}
+	faulted.Resilience = gateway.Resilience{MaxRetries: 4}
+	configs = append(configs, faulted)
+	requests += len(faulted.Trace.Reqs)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range configs {
+			if _, err := replay.Run(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(requests)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/request")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/request")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/request")
 }
 
 // BenchmarkFleetOptimize is the repo benchmark's plan op: solo searches plus
