@@ -478,7 +478,7 @@ func (g *Gateway) Stop() {
 		batch, ac := s.takeBatchLocked()
 		s.mu.Unlock()
 		if len(batch) > 0 {
-			s.execute(batch, ac, causeFlush, nil)
+			s.execute(batch, ac, causeFlush)
 		}
 	}
 	g.loopWG.Wait()
@@ -732,10 +732,6 @@ func (g *Gateway) admitShard() (s *shard, id int, now float64) {
 type Handle struct {
 	w *waiter
 	s *shard
-	// direct marks a request whose own Submit dispatched its batch
-	// synchronously: the response is already in w.resp (written by this
-	// goroutine inside execute), so Wait skips the channel.
-	direct bool
 }
 
 // Wait blocks for the response, then returns the waiter to its shard's
@@ -743,14 +739,21 @@ type Handle struct {
 //
 //deepbat:hotpath
 func (h Handle) Wait() Response {
-	var resp Response
-	if h.direct {
-		resp = h.w.resp
-	} else {
-		//lint:allow hotpath-alloc a batch dispatched by another request, a timer or Stop delivers over the waiter's pre-allocated 1-buffered channel; this receive is the wait itself
-		resp = <-h.w.ch
+	w := h.w
+	if w.state.Load() != waitDone {
+		if w.ch == nil {
+			//lint:allow hotpath-alloc first park of this waiter: the wake-up channel is made once and kept across recycles, so a closed loop allocates it only while its pool warms
+			w.ch = make(chan struct{}, 1)
+		}
+		if w.state.CompareAndSwap(waitPending, waitBlocked) {
+			//lint:allow hotpath-alloc the batch has not dispatched yet; this receive is the wait itself, woken by deliver
+			<-w.ch
+		}
 	}
-	h.s.putWaiter(h.w)
+	resp := w.resp
+	w.resp = Response{}
+	w.state.Store(waitPending)
+	h.s.putWaiter(w)
 	return resp
 }
 
@@ -767,10 +770,7 @@ func (g *Gateway) Submit() Handle {
 	s, id, now := g.admitShard()
 	w, batch, ac, cause := s.submitPooled(id, now)
 	if batch != nil {
-		// w is always a member of the batch its own submission completed,
-		// so execute delivers its response by direct field write.
-		s.execute(batch, ac, cause, w)
-		return Handle{w: w, s: s, direct: true}
+		s.execute(batch, ac, cause)
 	}
 	return Handle{w: w, s: s}
 }
@@ -818,7 +818,7 @@ func (g *Gateway) FlushDue() int {
 		batch, ac := s.takeBatchLocked()
 		s.mu.Unlock()
 		if len(batch) > 0 {
-			s.execute(batch, ac, causeTimeout, nil)
+			s.execute(batch, ac, causeTimeout)
 			n++
 		}
 	}

@@ -294,7 +294,7 @@ func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 	}
 	defer g.Close()
 	g.shards[0].flushTimeout()
-	g.shards[0].execute(nil, nil, causeTimeout, nil)
+	g.shards[0].execute(nil, nil, causeTimeout)
 	s := g.Stats()
 	if s.Invocations != 0 || s.Served != 0 {
 		t.Fatalf("empty flush counted work: %+v", s)

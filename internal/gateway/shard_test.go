@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"deepbat/internal/lambda"
+	"deepbat/internal/obs"
 )
 
 // immediateConfig is the B = 1 steady-state serving configuration the pooled
@@ -106,6 +107,119 @@ func TestDoZeroAllocSteadyState(t *testing.T) {
 		g.Stop()
 		if allocs != 0 {
 			t.Errorf("P=%d: Do allocates %.1f objects/op at steady state, want 0", shards, allocs)
+		}
+	}
+}
+
+// TestOneShotWaiterBothOrders runs one waiter through every way a response
+// is delivered — size dispatch, a virtual-timer FlushDue on another
+// goroutine, Stop's flush, retry exhaustion and deadline expiry — once with
+// Wait parked before delivery and once with Wait after it. The waiter moves
+// from each finished gateway into the next one's free slot, so every
+// resolution after the first runs on a recycled waiter, and every one after
+// the first park on a waiter whose wake-up channel already exists. make race
+// runs it under -race and -tags poolcheck, make verify at -cpu 1,2,4.
+func TestOneShotWaiterBothOrders(t *testing.T) {
+	failing := &flakyBackend{inner: fastBackend()}
+	failing.fail.Store(true)
+	submit := func(g *Gateway, _ *obs.ManualClock) []Handle { return []Handle{g.Submit()} }
+	cases := []struct {
+		name    string
+		backend Backend
+		res     Resilience
+		// resolve makes the gateway deliver the open request submitted at
+		// clock 0, returning the handles of any request it submits itself.
+		resolve   func(g *Gateway, clock *obs.ManualClock) []Handle
+		wantErr   string
+		wantBatch int
+	}{
+		{name: "size", backend: fastBackend(), resolve: submit, wantBatch: 2},
+		{name: "flush-due", backend: fastBackend(), wantBatch: 1,
+			resolve: func(g *Gateway, clock *obs.ManualClock) []Handle {
+				clock.Set(1)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					g.FlushDue()
+				}()
+				<-done
+				return nil
+			}},
+		{name: "stop", backend: fastBackend(), wantBatch: 1,
+			resolve: func(g *Gateway, _ *obs.ManualClock) []Handle {
+				g.Stop()
+				return nil
+			}},
+		{name: "fail-batch", backend: failing, resolve: submit,
+			wantErr: ErrBackendFailed.Error(), wantBatch: 2},
+		{name: "deadline", backend: fastBackend(), res: Resilience{RequestTimeoutS: 0.5},
+			resolve: func(g *Gateway, clock *obs.ManualClock) []Handle {
+				clock.Set(1)
+				g.FlushDue()
+				return nil
+			},
+			wantErr: ErrDeadlineExceeded.Error()},
+	}
+	var w *waiter
+	var wake chan struct{}
+	for _, tc := range cases {
+		for _, parked := range []bool{true, false} {
+			clock := &obs.ManualClock{}
+			g, err := New(tc.backend, nil, Config{
+				Initial:       lambda.Config{MemoryMB: 2048, BatchSize: 2, TimeoutS: 1},
+				Clock:         clock,
+				Shards:        1,
+				VirtualTimers: true,
+				Resilience:    tc.res,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w != nil {
+				g.shards[0].freeSlot.Store(w)
+			}
+			h := g.Submit()
+			if w == nil {
+				w = h.w
+			} else if h.w != w {
+				t.Fatalf("%s: Submit took a fresh waiter, not the recycled one", tc.name)
+			}
+			id := w.id
+			var resp Response
+			var extra []Handle
+			if parked {
+				got := make(chan Response, 1)
+				go func() { got <- h.Wait() }()
+				for w.state.Load() != waitBlocked {
+					runtime.Gosched()
+				}
+				extra = tc.resolve(g, clock)
+				resp = <-got
+			} else {
+				extra = tc.resolve(g, clock)
+				if w.state.Load() != waitDone {
+					t.Fatalf("%s: response not delivered before Wait", tc.name)
+				}
+				resp = h.Wait()
+			}
+			for _, x := range extra {
+				x.Wait()
+			}
+			g.Stop()
+			if resp.ID != id || resp.Error != tc.wantErr || resp.BatchSize != tc.wantBatch {
+				t.Errorf("%s (parked=%v): response %+v, want id %d, error %q, batch size %d",
+					tc.name, parked, resp, id, tc.wantErr, tc.wantBatch)
+			}
+			switch {
+			case wake == nil:
+				wake = w.ch
+			case w.ch != wake:
+				t.Fatalf("%s: the waiter's wake-up channel was re-made", tc.name)
+			}
+			if len(w.ch) != 0 || w.state.Load() != waitPending || w.resp != (Response{}) {
+				t.Fatalf("%s (parked=%v): recycled waiter not clean: state %d, %d tokens, resp %+v",
+					tc.name, parked, w.state.Load(), len(w.ch), w.resp)
+			}
 		}
 	}
 }
