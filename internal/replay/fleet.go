@@ -9,7 +9,6 @@ import (
 	"deepbat/internal/gateway"
 	"deepbat/internal/lambda"
 	"deepbat/internal/obs"
-	"deepbat/internal/stats"
 	"deepbat/internal/workload"
 )
 
@@ -128,14 +127,15 @@ func runFleet(c FleetConfig, fp fault.Plan) (FleetReport, error) {
 	}
 
 	reqs := c.Trace.Reqs
-	handles := make([]gateway.Handle, len(reqs))
-	arrive := make([]float64, len(reqs))
+	s := getScratch(len(reqs))
+	defer putScratch(s)
+	handles, arrive := s.handles, s.arrive
 	end := drive(f, clock, c.Trace, ts, classMap, handles, arrive)
 
 	// Fold responses per class. Handles resolve in submission order.
 	rows := make([]FleetClassRow, len(c.Plan.Classes))
-	perClass := make([][]float64, len(c.Plan.Classes))
-	var all []float64
+	perClass := s.winBuckets(len(c.Plan.Classes))
+	all := s.all
 	var totals FleetClassRow
 	good := make([]int, len(c.Plan.Classes))
 	totalGood := 0
@@ -168,16 +168,13 @@ func runFleet(c FleetConfig, fp fault.Plan) (FleetReport, error) {
 		if end > 0 {
 			rows[ci].GoodputRPS = float64(good[ci]) / end
 		}
-		rows[ci].P50MS, _ = stats.Percentile(perClass[ci], 50)
-		rows[ci].P95MS, _ = stats.Percentile(perClass[ci], 95)
-		rows[ci].P99MS, _ = stats.Percentile(perClass[ci], 99)
+		rows[ci].P50MS, rows[ci].P95MS, rows[ci].P99MS = tails(perClass[ci])
 	}
 	if end > 0 {
 		totals.GoodputRPS = float64(totalGood) / end
 	}
-	totals.P50MS, _ = stats.Percentile(all, 50)
-	totals.P95MS, _ = stats.Percentile(all, 95)
-	totals.P99MS, _ = stats.Percentile(all, 99)
+	totals.P50MS, totals.P95MS, totals.P99MS = tails(all)
+	s.all = all // keep capacity grown by appends for the next pooled run
 
 	rep := FleetReport{
 		Trace:       c.Trace.Header.Name,

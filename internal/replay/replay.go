@@ -168,11 +168,12 @@ func admit(tr *workload.Trace, cache *workload.Cache, timeScale float64) (digest
 	return digest, timeScale, nil
 }
 
-// scratch is the per-run working set Run needs besides the Report itself:
-// one handle and one arrival stamp per request, the latency accumulators the
-// percentiles are computed from, and the per-window latency buckets. None of
-// it survives the run, so sweeps recycle it through scratchPool instead of
-// re-allocating trace-sized slices for every cell.
+// scratch is the per-run working set Run and RunFleet need besides the
+// report itself: one handle and one arrival stamp per request, the latency
+// accumulators the percentiles are computed from, and the per-window (or
+// per-class) latency buckets. None of it survives the run, so sweeps recycle
+// it through scratchPool instead of re-allocating trace-sized slices for
+// every cell.
 type scratch struct {
 	handles []gateway.Handle
 	arrive  []float64
@@ -212,8 +213,21 @@ func (s *scratch) winBuckets(nwin int) [][]float64 {
 	return s.perWin
 }
 
+// reportPcts are the latency percentiles every report row states.
+var reportPcts = []float64{50, 95, 99}
+
+// tails returns the p50, p95 and p99 of a scratch latency bucket from one
+// in-place sort of it, so the bucket is reordered.
+func tails(lat []float64) (p50, p95, p99 float64) {
+	var q [3]float64
+	// An empty bucket (ErrEmpty) leaves q zero, which is what a row without
+	// a served request reports.
+	_ = stats.PercentilesInPlace(lat, reportPcts, q[:])
+	return q[0], q[1], q[2]
+}
+
 // putScratch returns the working set to the pool. Handles are cleared so the
-// pool does not pin resolved gateway responses between runs.
+// pool does not pin a finished run's gateway waiters.
 func putScratch(s *scratch) {
 	for i := range s.handles {
 		s.handles[i] = gateway.Handle{}
@@ -255,9 +269,9 @@ func Run(c Config) (Report, error) {
 	handles, arrive := s.handles, s.arrive
 	end := drive(single{g}, clock, c.Trace, ts, nil, handles, arrive)
 
-	// Fold responses into windows by arrival time. Handles resolve in
-	// submission order; responses were delivered during dispatch (buffered
-	// channels / direct writes), so Wait never blocks here.
+	// Fold responses into windows by arrival time. Every response was
+	// delivered during dispatch, so each Wait reads its waiter's response
+	// without blocking.
 	win := c.windowS()
 	n := int(end/win) + 1
 	windows := make([]Window, n) // escapes into the Report; never pooled
@@ -303,9 +317,7 @@ func Run(c Config) (Report, error) {
 		} else {
 			wd.GoodputRPS = 0
 		}
-		wd.P50MS, _ = stats.Percentile(perWin[w], 50)
-		wd.P95MS, _ = stats.Percentile(perWin[w], 95)
-		wd.P99MS, _ = stats.Percentile(perWin[w], 99)
+		wd.P50MS, wd.P95MS, wd.P99MS = tails(perWin[w])
 	}
 	totals.StartS, totals.EndS = 0, end
 	if end > 0 {
@@ -314,9 +326,7 @@ func Run(c Config) (Report, error) {
 	} else {
 		totals.GoodputRPS = 0
 	}
-	totals.P50MS, _ = stats.Percentile(all, 50)
-	totals.P95MS, _ = stats.Percentile(all, 95)
-	totals.P99MS, _ = stats.Percentile(all, 99)
+	totals.P50MS, totals.P95MS, totals.P99MS = tails(all)
 	s.all = all // keep capacity grown by appends for the next pooled run
 	st := g.Stats()
 	totals.CostUSD = st.TotalCostUSD

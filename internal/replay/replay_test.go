@@ -140,6 +140,29 @@ func TestLatencyNonNegative(t *testing.T) {
 	}
 }
 
+// TestRunAllocBudget holds a replay to about one allocation per request:
+// the gateway waiter each request keeps until the report fold (a closed loop
+// that waits before it submits again recycles it instead; see
+// TestDoZeroAllocSteadyState). The response channel per waiter and the
+// clone-and-sort per percentile are gone; either coming back breaks the
+// budget.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	tr := testTrace(t, "flashcrowd")
+	c := Config{Trace: tr, Shards: 1, SLO: 0.1, WindowS: 1, Cache: workload.NewCache()}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := 1.1*float64(len(tr.Reqs)) + 200; allocs > budget {
+		t.Errorf("Run allocates %.0f objects for %d requests, budget %.0f", allocs, len(tr.Reqs), budget)
+	}
+	t.Logf("%.0f allocations for %d requests (%.3f per request)", allocs, len(tr.Reqs), allocs/float64(len(tr.Reqs)))
+}
+
 // TestRunValidation pins the error paths.
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {

@@ -352,14 +352,12 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
-// TestPercentileSelectMatchesPercentile is the selection helper's contract:
-// bit-equal to the sorting Percentile at every n, on integer and non-integer
-// ranks, heavy duplicates, sorted and reverse-sorted input, NaNs (which
-// sort.Float64s orders first) and infinities — and it keeps xs a permutation.
-func TestPercentileSelectMatchesPercentile(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	ps := []float64{0, 50, 95, 99, 100, 33.3, 97.5, -4, 140}
-	shapes := map[string]func(n int) []float64{
+// percentileShapes generates the samples the in-place percentile helpers are
+// held to Percentile on: random, heavy duplicates, constant, sorted,
+// reverse-sorted, organ-pipe, and NaNs (which sort.Float64s orders first)
+// mixed with infinities.
+func percentileShapes(rng *rand.Rand) map[string]func(n int) []float64 {
+	return map[string]func(n int) []float64{
 		"random": func(n int) []float64 {
 			xs := make([]float64, n)
 			for i := range xs {
@@ -417,13 +415,25 @@ func TestPercentileSelectMatchesPercentile(t *testing.T) {
 			return xs
 		},
 	}
+}
+
+// percentileSizes is every n from 1 to 40, then 101, 500 and 2000.
+func percentileSizes() []int {
 	var sizes []int
 	for n := 1; n <= 40; n++ {
 		sizes = append(sizes, n)
 	}
-	sizes = append(sizes, 101, 500, 2000)
-	for name, gen := range shapes {
-		for _, n := range sizes {
+	return append(sizes, 101, 500, 2000)
+}
+
+// TestPercentileSelectMatchesPercentile is the selection helper's contract:
+// bit-equal to the sorting Percentile at every n, on integer and non-integer
+// ranks and every shape of percentileShapes — and it keeps xs a permutation.
+func TestPercentileSelectMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	ps := []float64{0, 50, 95, 99, 100, 33.3, 97.5, -4, 140}
+	for name, gen := range percentileShapes(rng) {
+		for _, n := range percentileSizes() {
 			for _, p := range ps {
 				xs := gen(n)
 				want, err := Percentile(xs, p)
@@ -450,5 +460,52 @@ func TestPercentileSelectMatchesPercentile(t *testing.T) {
 	}
 	if _, err := PercentileSelect(nil, 50); err != ErrEmpty {
 		t.Fatal("empty sample should return ErrEmpty")
+	}
+}
+
+// TestPercentilesInPlaceMatchesPercentile is the one-sort helper's contract:
+// every level bit-equal to Percentile on every shape of percentileShapes, and
+// xs left exactly as sort.Float64s leaves a copy of it.
+func TestPercentilesInPlaceMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	ps := []float64{0, 33.3, 50, 95, 99, 100}
+	out := make([]float64, len(ps))
+	for name, gen := range percentileShapes(rng) {
+		for _, n := range percentileSizes() {
+			xs := gen(n)
+			want := make([]float64, len(ps))
+			for i, p := range ps {
+				var err error
+				if want[i], err = Percentile(xs, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			if err := PercentilesInPlace(xs, ps, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range ps {
+				if math.Float64bits(out[i]) != math.Float64bits(want[i]) && !(math.IsNaN(out[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("%s n=%d p=%v: PercentilesInPlace = %v, Percentile = %v", name, n, p, out[i], want[i])
+				}
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(sorted[i]) {
+					t.Fatalf("%s n=%d: xs[%d] = %v after the in-place sort, sort.Float64s gives %v", name, n, i, xs[i], sorted[i])
+				}
+			}
+		}
+	}
+	for i := range out {
+		out[i] = 1
+	}
+	if err := PercentilesInPlace(nil, ps, out); err != ErrEmpty {
+		t.Fatalf("empty sample: err = %v, want ErrEmpty", err)
+	}
+	for i, v := range out {
+		if v != 0 {
+			t.Fatalf("empty sample left out[%d] = %v, want 0 as Percentile returns", i, v)
+		}
 	}
 }
