@@ -4,11 +4,13 @@
 GO ?= go
 
 # RACE_PKGS covers the packages that exercise the concurrent code paths:
-# the parallel matmul kernels and the shared blocked/packed gemm kernels they
-# drive from row-sharded workers, data-parallel training and the compiled
+# the serial tensor and blocked/packed gemm kernels (whose pooled pack
+# buffers are shared by concurrently training replicas), data-parallel
+# training, sweep-parallel dataset labelling and the compiled
 # inference snapshot shared by concurrent sweeps, the optimizer (whose
 # isolation test trains one model while another goroutine decides on a
-# second), the analytical baseline used by the same experiments, the gateway (whose
+# second), the analytical baseline (whose per-configuration analysis runs
+# as sweep cells), the gateway (whose
 # batch timers and control loop run on their own goroutines under test, and
 # which pools waiters across shard mutexes and a lock-free exchange slot), the
 # fault-injection layer (whose FaultyBackend counter is hit from concurrent
@@ -35,16 +37,18 @@ COVER_FLOOR_FLEET   = 80
 
 ## verify: tier-1 gate — formatting, vet, the deepbatlint pass, full build,
 ## and the full test suite, then the packages whose behaviour has depended on
-## the core count (gateway sharding, inference fan-out, Decide, the grid
-## search's partition fan-out and the planner above it, and the replay
-## driver whose waiters are resolved on whichever goroutine dispatches) again
-## at GOMAXPROCS 1, 2 and 4. Every PR must leave this green.
+## the core count (gateway sharding, inference fan-out and dataset
+## labelling, Decide, the BATCH baseline's per-configuration fan-out, the
+## grid search's partition fan-out and the planner above it, the replay
+## driver whose waiters are resolved on whichever goroutine dispatches, and
+## the tensor kernels the training replicas share) again at GOMAXPROCS 1, 2
+## and 4. Every PR must leave this green.
 verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/lint ./...
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/ ./internal/qsim/ ./internal/fleet/ ./internal/replay/
+	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/ ./internal/qsim/ ./internal/fleet/ ./internal/replay/ ./internal/batchopt/ ./internal/tensor/
 
 ## fmtcheck: fail (listing the files) if any file is not gofmt-clean.
 fmtcheck:

@@ -30,13 +30,12 @@ package batchopt
 import (
 	"errors"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"deepbat/internal/arrival"
 	"deepbat/internal/lambda"
 	"deepbat/internal/linalg"
+	"deepbat/internal/sweep"
 )
 
 // Analyzer evaluates configurations analytically against a MAP.
@@ -340,38 +339,21 @@ func (a *Analyzer) Analyze(m *arrival.MAP, cfg lambda.Config) (*Prediction, erro
 // Optimize exhaustively evaluates every configuration in the grid and
 // returns the cheapest one whose pct-percentile latency meets the SLO. When
 // no configuration is feasible it returns the one with the lowest predicted
-// tail latency. Evaluation is spread across worker goroutines.
+// tail latency. Each configuration's Analyze call is one sweep cell; on
+// failure the error of the lowest-index configuration comes back.
 func (a *Analyzer) Optimize(m *arrival.MAP, grid lambda.Grid, slo, pct float64) (lambda.Config, *Prediction, error) {
 	cfgs := grid.Configs()
 	if len(cfgs) == 0 {
 		return lambda.Config{}, nil, errors.New("batchopt: empty grid")
 	}
 	preds := make([]*Prediction, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				preds[i], errs[i] = a.Analyze(m, cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return lambda.Config{}, nil, err
-		}
+	err := sweep.Run(sweep.Options{}, len(cfgs), func(c *sweep.Cell) error {
+		var err error
+		preds[c.Index], err = a.Analyze(m, cfgs[c.Index])
+		return err
+	})
+	if err != nil {
+		return lambda.Config{}, nil, err
 	}
 	bestIdx, fallback := -1, 0
 	bestTail := math.Inf(1)

@@ -4,11 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/qsim"
+	"deepbat/internal/sweep"
 	"deepbat/internal/trace"
 )
 
@@ -81,9 +80,14 @@ func DefaultBuildOptions(grid lambda.Grid) BuildOptions {
 }
 
 // Build samples random windows from the trace, pairs them with random
-// configurations, and labels them with the simulator. Labeling is spread
-// across worker goroutines (each sample is an independent simulation).
+// configurations, and labels them with the simulator. Each sample is an
+// independent simulation, so labelling runs as one sweep cell per sample;
+// the samples and the error returned (the lowest-index failure) do not
+// depend on the worker count.
 func Build(tr *trace.Trace, sim *qsim.Simulator, opts BuildOptions) (*Dataset, error) {
+	if opts.SeqLen <= 0 {
+		return nil, errors.New("surrogate: SeqLen must be positive")
+	}
 	inter := tr.Interarrivals()
 	if len(inter) < opts.SeqLen+1 {
 		return nil, errors.New("surrogate: trace shorter than one window")
@@ -117,43 +121,22 @@ func Build(tr *trace.Trace, sim *qsim.Simulator, opts BuildOptions) (*Dataset, e
 	}
 
 	samples := make([]Sample, opts.NumSamples)
-	errs := make([]error, opts.NumSamples)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := jobs[i]
-				end := j.start + horizon
-				if end > len(inter) {
-					end = len(inter)
-				}
-				window := inter[j.start:end]
-				tgt, err := sim.Evaluate(window, j.cfg, opts.Percentiles)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				samples[i] = Sample{
-					Seq:    inter[j.start : j.start+opts.SeqLen],
-					Config: j.cfg,
-					Target: tgt.Vector(),
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
+	err := sweep.Run(sweep.Options{}, len(jobs), func(c *sweep.Cell) error {
+		j := jobs[c.Index]
+		end := min(j.start+horizon, len(inter))
+		tgt, err := sim.Evaluate(inter[j.start:end], j.cfg, opts.Percentiles)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		samples[c.Index] = Sample{
+			Seq:    inter[j.start : j.start+opts.SeqLen],
+			Config: j.cfg,
+			Target: tgt.Vector(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Dataset{Samples: samples, Percentiles: opts.Percentiles}, nil
 }

@@ -3,6 +3,7 @@ package surrogate
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"deepbat/internal/lambda"
@@ -130,21 +131,38 @@ func TestBuildErrors(t *testing.T) {
 	spec := trace.Spec{Name: "twitter", Hours: 1, HourSeconds: 5, Seed: 3}
 	tr := trace.MustGenerate(spec)
 	sim := qsim.New(lambda.DefaultProfile(), lambda.DefaultPricing())
-	opts := DefaultBuildOptions(tinyGrid())
-	opts.SeqLen = 1 << 30
-	if _, err := Build(tr, sim, opts); err == nil {
-		t.Fatal("expected error for oversized window")
+	for _, tc := range []struct {
+		name string
+		edit func(*BuildOptions)
+	}{
+		{"oversized window", func(o *BuildOptions) { o.SeqLen = 1 << 30 }},
+		{"zero window", func(o *BuildOptions) { o.SeqLen = 0 }},
+		{"negative window", func(o *BuildOptions) { o.SeqLen = -4 }},
+		{"empty grid", func(o *BuildOptions) { o.SeqLen, o.Grid = 8, lambda.Grid{} }},
+		{"zero samples", func(o *BuildOptions) { o.SeqLen, o.NumSamples = 8, 0 }},
+	} {
+		opts := DefaultBuildOptions(tinyGrid())
+		tc.edit(&opts)
+		if _, err := Build(tr, sim, opts); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
 	}
-	opts = DefaultBuildOptions(lambda.Grid{})
-	opts.SeqLen = 8
-	if _, err := Build(tr, sim, opts); err == nil {
-		t.Fatal("expected error for empty grid")
+}
+
+// TestBuildDeterministicAcrossGOMAXPROCS labels one dataset with the sweep
+// running inline (GOMAXPROCS 1) and on a four-worker pool, and requires
+// bitwise-equal samples.
+func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	build := func(procs int) *Dataset {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return tinyDataset(t, 40, 16)
 	}
-	opts = DefaultBuildOptions(tinyGrid())
-	opts.SeqLen = 8
-	opts.NumSamples = 0
-	if _, err := Build(tr, sim, opts); err == nil {
-		t.Fatal("expected error for zero samples")
+	want, got := build(1), build(4)
+	for i, w := range want.Samples {
+		g := got.Samples[i]
+		if g.Config != w.Config || !sameBits(g.Seq, w.Seq) || !sameBits(g.Target, w.Target) {
+			t.Fatalf("sample %d differs: GOMAXPROCS 4 %+v, GOMAXPROCS 1 %+v", i, g, w)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package sweep is the deterministic parallel fan-out/fan-in engine behind
 // every multi-cell evaluation in this repo: the experiments' scenario
 // matrices, ablation/sensitivity grids and chaos sweeps, qsim's grid-search
-// fan-out, and the loadgen/replay shard sweeps.
+// fan-out, the loadgen/replay shard sweeps, surrogate dataset labelling
+// (one simulation per sample) and the BATCH baseline's per-configuration
+// analysis. The numeric kernels below these cells are serial; parallelism
+// lives at the cell grain.
 //
 // A sweep executes N independent cells on a bounded worker pool and merges
 // their results in cell-index order. Three properties make the output a pure
@@ -26,9 +29,8 @@
 //     returns.
 //
 // This is the same "parallel must equal serial, byte for byte" discipline
-// the training fan-out (PR 1), the blocked kernels (PR 4), and the P=1
-// gateway sharding (PR 6) pinned for their layers, applied to whole
-// evaluations.
+// the training fan-out and the P=1 gateway sharding pin for their layers,
+// applied to whole evaluations.
 package sweep
 
 //deepbat:deterministic

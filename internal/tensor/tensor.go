@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -393,12 +392,8 @@ func AddScalar(a *Tensor, s float64) *Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// Matrix multiplication (row-parallel for large products)
+// Matrix multiplication
 // ---------------------------------------------------------------------------
-
-// matmulParallelThreshold is the minimum number of multiply-adds before the
-// forward pass is split across goroutines.
-const matmulParallelThreshold = 1 << 16
 
 // MatMul returns the matrix product of 2-D tensors a (n×k) and b (k×m).
 func MatMul(a, b *Tensor) *Tensor {
@@ -427,58 +422,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matmulWorkers picks the goroutine count for a kernel of the given
-// multiply-add volume whose output has rows independent rows.
-func matmulWorkers(work, rows int) int {
-	if work < matmulParallelThreshold {
-		return 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// rowBlocks partitions [0, rows) into worker contiguous blocks and calls
-// fn(lo, hi) for each, concurrently when workers > 1. Each block is computed
-// by exactly one goroutine with the same inner loop order as the serial code,
-// so results are bit-identical for any worker count.
-func rowBlocks(rows, workers int, fn func(lo, hi int)) {
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		//lint:allow hotpath-alloc worker goroutines are amortized over an entire n×k×m product and joined before return; serial callers take the workers<=1 branch
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matmulInto computes dst = A (n×k) × B (k×m) with row-block parallelism for
-// large products.
-func matmulInto(dst, a, b []float64, n, k, m int) {
-	matmulIntoWorkers(dst, a, b, n, k, m, matmulWorkers(n*k*m, n))
-}
-
 // packPool recycles the scratch buffers the blocked kernel packs B into.
 // Buffers are fully overwritten by gemm.Pack before any read, so reuse can
 // never leak stale values into a product.
@@ -497,84 +440,55 @@ func getPackBuf(n int) *[]float64 {
 	return &buf
 }
 
-// matmulIntoWorkers is matmulInto with an explicit worker count (exposed
-// for the parallel-vs-serial property tests). Large products route through
+// matmulInto computes dst = A (n×k) × B (k×m). Large products route through
 // the packed blocked kernel (gemm.Blocked), small ones through the naive
 // reference kernel (gemm.Naive); the two are bit-identical, so the dispatch
-// threshold affects speed only. The packed copy of B is shared read-only
-// across the row-range workers and pooled across calls.
-func matmulIntoWorkers(dst, a, b []float64, n, k, m, workers int) {
+// threshold affects speed only. The packed copy of B is pooled across calls.
+func matmulInto(dst, a, b []float64, n, k, m int) {
 	if n*k*m >= gemm.BlockedThreshold {
 		buf := getPackBuf(gemm.PackedLen(k, m))
 		gemm.Pack(*buf, b, k, m)
-		//lint:allow hotpath-alloc one worker closure per large product, amortized over its n×k×m flops
-		rowBlocks(n, workers, func(lo, hi int) {
-			gemm.Blocked(dst, a, *buf, lo, hi, k, m)
-		})
+		gemm.Blocked(dst, a, *buf, 0, n, k, m)
 		packPool.Put(buf)
 		return
 	}
-	//lint:allow hotpath-alloc one worker closure per product, amortized over its n×k×m flops
-	rowBlocks(n, workers, func(lo, hi int) {
-		matmulRows(dst, a, b, lo, hi, k, m)
-	})
+	gemm.Naive(dst, a, b, 0, n, k, m)
 }
 
-// matmulBackwardA accumulates dA += dOut @ B^T, parallel over the rows of A.
-// Row blocks write disjoint slices of aGrad and every (i, j) cell sums over c
-// in ascending order, exactly as the serial loop.
+// matmulBackwardA accumulates dA += dOut @ B^T. Every (i, j) cell sums over
+// c in ascending order.
 func matmulBackwardA(aGrad, b, outGrad []float64, n, k, m int) {
-	matmulBackwardAWorkers(aGrad, b, outGrad, n, k, m, matmulWorkers(n*k*m, n))
-}
-
-func matmulBackwardAWorkers(aGrad, b, outGrad []float64, n, k, m, workers int) {
-	rowBlocks(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gOff := i * m
-			aOff := i * k
-			for j := 0; j < k; j++ {
-				bOff := j * m
-				s := 0.0
-				for c := 0; c < m; c++ {
-					s += outGrad[gOff+c] * b[bOff+c]
-				}
-				aGrad[aOff+j] += s
-			}
-		}
-	})
-}
-
-// matmulBackwardB accumulates dB += A^T @ dOut, parallel over the rows of B
-// (the k dimension) so each goroutine owns a disjoint block of bGrad. For a
-// fixed (j, c) cell the i-summation order matches the serial i-outer loop, so
-// the result is bit-identical for any worker count.
-func matmulBackwardB(bGrad, a, outGrad []float64, n, k, m int) {
-	matmulBackwardBWorkers(bGrad, a, outGrad, n, k, m, matmulWorkers(n*k*m, k))
-}
-
-func matmulBackwardBWorkers(bGrad, a, outGrad []float64, n, k, m, workers int) {
-	rowBlocks(k, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
+	for i := 0; i < n; i++ {
+		gOff := i * m
+		aOff := i * k
+		for j := 0; j < k; j++ {
 			bOff := j * m
-			for i := 0; i < n; i++ {
-				av := a[i*k+j]
-				if av == 0 {
-					continue
-				}
-				gOff := i * m
-				for c := 0; c < m; c++ {
-					bGrad[bOff+c] += av * outGrad[gOff+c]
-				}
+			s := 0.0
+			for c := 0; c < m; c++ {
+				s += outGrad[gOff+c] * b[bOff+c]
 			}
+			aGrad[aOff+j] += s
 		}
-	})
+	}
 }
 
-// matmulRows computes rows [lo, hi) of the product with the retained naive
-// reference kernel (ikj loop order, streaming B row-wise). It defines the
-// bit pattern every faster kernel must reproduce.
-func matmulRows(dst, a, b []float64, lo, hi, k, m int) {
-	gemm.Naive(dst, a, b, lo, hi, k, m)
+// matmulBackwardB accumulates dB += A^T @ dOut, j-outer/i-inner: for a fixed
+// (j, c) cell the i-summation runs in ascending order, skipping zero terms
+// of A.
+func matmulBackwardB(bGrad, a, outGrad []float64, n, k, m int) {
+	for j := 0; j < k; j++ {
+		bOff := j * m
+		for i := 0; i < n; i++ {
+			av := a[i*k+j]
+			if av == 0 {
+				continue
+			}
+			gOff := i * m
+			for c := 0; c < m; c++ {
+				bGrad[bOff+c] += av * outGrad[gOff+c]
+			}
+		}
+	}
 }
 
 // Transpose returns the transpose of a 2-D tensor.

@@ -124,22 +124,6 @@ func TestMatMulForward(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Big enough to trigger the parallel path.
-	n, k, m := 128, 64, 64
-	a := Randn(rng, 1, n, k)
-	b := Randn(rng, 1, k, m)
-	got := MatMul(a, b)
-	serial := make([]float64, n*m)
-	matmulRows(serial, a.Data, b.Data, 0, n, k, m)
-	for i := range serial {
-		if math.Abs(serial[i]-got.Data[i]) > 1e-12 {
-			t.Fatalf("parallel matmul mismatch at %d", i)
-		}
-	}
-}
-
 func TestTransposeForward(t *testing.T) {
 	a := FromData([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := Transpose(a)
