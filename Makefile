@@ -11,7 +11,8 @@ GO ?= go
 # isolation test trains one model while another goroutine decides on a
 # second), the analytical baseline (whose per-configuration analysis runs
 # as sweep cells), the gateway (whose
-# batch timers and control loop run on their own goroutines under test, and
+# batch-timeout flusher, timed-out batches and control loop run on their own
+# goroutines under test, and
 # which pools waiters across shard mutexes and a lock-free exchange slot), the
 # fault-injection layer (whose FaultyBackend counter is hit from concurrent
 # batch executions), the observability registry/recorder hammered from many
@@ -40,15 +41,15 @@ COVER_FLOOR_FLEET   = 80
 ## the core count (gateway sharding, inference fan-out and dataset
 ## labelling, Decide, the BATCH baseline's per-configuration fan-out, the
 ## grid search's partition fan-out and the planner above it, the replay
-## driver whose waiters are resolved on whichever goroutine dispatches, and
-## the tensor kernels the training replicas share) again at GOMAXPROCS 1, 2
-## and 4. Every PR must leave this green.
+## driver whose waiters are resolved on whichever goroutine dispatches, the
+## fault layer under the chaos scenarios, and the tensor kernels the training
+## replicas share) again at GOMAXPROCS 1, 2 and 4. Every PR must leave this green.
 verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/lint ./...
 	$(GO) test ./...
-	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/ ./internal/qsim/ ./internal/fleet/ ./internal/replay/ ./internal/batchopt/ ./internal/tensor/
+	$(GO) test -cpu 1,2,4 ./internal/gateway/ ./internal/surrogate/ ./internal/optimizer/ ./internal/qsim/ ./internal/fleet/ ./internal/replay/ ./internal/batchopt/ ./internal/tensor/ ./internal/fault/...
 
 ## fmtcheck: fail (listing the files) if any file is not gofmt-clean.
 fmtcheck:
@@ -119,7 +120,8 @@ sweep-smoke:
 	@echo "sweep-smoke: byte-identical reports and metric snapshots at 1 vs 4 workers"
 
 ## chaos: the -race chaos soak — a real-time gateway under concurrent load
-## with seeded backend faults, retries, deadlines, and the breaker all live —
+## with seeded backend faults, retries, deadlines, the breaker and the
+## wall-clock timeout flusher (T = 2 ms) all live —
 ## plus the fleet fault-isolation scenarios (an error storm on one class
 ## opens only that class's breaker; sibling groups' observable bytes are
 ## unchanged). Bounded to ~25s (15s soak + harness overhead).

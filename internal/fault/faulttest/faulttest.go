@@ -5,11 +5,12 @@
 // real Gateway wrapped in a fault.FaultyBackend and returns every Response
 // plus the final Stats and the byte-exact obs JSON snapshots.
 //
-// Determinism discipline: scenarios advance the clock only between steps,
-// dispatch batches by size (or flush at Stop) rather than by wall-clock
-// batch timers — each batch executes on the harness goroutine inside the
-// Submit that fills it, so batches never overlap — and draw backoff jitter
-// from a per-run PRNG seeded by JitterSeed. Two Runs of the same Scenario are
+// Determinism discipline: the gateway runs with Config.VirtualTimers, so
+// the harness is the only driver of time. Scenarios advance the clock only
+// between steps, and every batch executes on the harness goroutine — inside
+// the Submit that fills it (size), the Flush step that finds it due
+// (timeout), or Stop — so batches never overlap. Backoff jitter comes from a
+// per-run PRNG seeded by JitterSeed. Two Runs of the same Scenario are
 // therefore bit-identical, which AssertDeterministic checks down to the
 // snapshot and event-stream bytes.
 package faulttest
@@ -28,10 +29,13 @@ import (
 )
 
 // Step is one scripted action. Within a step the order is fixed: advance
-// the clock, enqueue, force a decision, await responses.
+// the clock, flush due batches, enqueue, force a decision, await responses.
 type Step struct {
 	// AdvanceS moves the manual clock forward by this many seconds.
 	AdvanceS float64
+	// Flush dispatches every batch whose timeout deadline the clock has
+	// reached (FlushDue).
+	Flush bool
 	// Enqueue submits this many requests (their completion handles are
 	// queued in arrival order).
 	Enqueue int
@@ -48,8 +52,8 @@ type Scenario struct {
 	Name string
 	// Plan is the fault schedule; Script entries pin exact outcomes.
 	Plan fault.Plan
-	// Initial is the serving configuration (batch timers should be far
-	// larger than the test runtime: dispatch deterministically by size).
+	// Initial is the serving configuration. Its timeout T fires only at a
+	// Flush step whose clock has reached an open batch's deadline.
 	Initial lambda.Config
 	// Resilience configures retries/deadline/breaker. Leave Jitter nil and
 	// set JitterSeed instead, so each Run rebuilds an identical PRNG.
@@ -110,12 +114,13 @@ func Run(t *testing.T, s Scenario) Result {
 		shards = 1
 	}
 	g, err := gateway.New(backend, decide, gateway.Config{
-		Initial:    s.Initial,
-		SLO:        s.SLO,
-		WindowLen:  s.WindowLen,
-		Clock:      clock,
-		Resilience: res,
-		Shards:     shards,
+		Initial:       s.Initial,
+		SLO:           s.SLO,
+		WindowLen:     s.WindowLen,
+		Clock:         clock,
+		Resilience:    res,
+		Shards:        shards,
+		VirtualTimers: true,
 	})
 	if err != nil {
 		t.Fatalf("scenario %q: %v", s.Name, err)
@@ -134,6 +139,9 @@ func Run(t *testing.T, s Scenario) Result {
 	for _, st := range s.Steps {
 		if st.AdvanceS > 0 {
 			clock.Advance(st.AdvanceS)
+		}
+		if st.Flush {
+			g.FlushDue()
 		}
 		for i := 0; i < st.Enqueue; i++ {
 			queue = append(queue, g.Submit())

@@ -41,7 +41,8 @@ func runIsolation(t *testing.T, storm bool) (*fleet.Fleet, []byte, []byte) {
 	clock := &obs.ManualClock{}
 	p := isolationPlan()
 	f, err := fleet.New(p, fleet.Options{
-		Clock: clock,
+		Clock:         clock,
+		VirtualTimers: true,
 		BackendFor: func(gi int, g fleet.Group) gateway.Backend {
 			clean := gateway.SimulatedBackend{
 				Profile: lambda.DefaultProfile(),
@@ -161,7 +162,8 @@ func TestFleetChaosFallbackKeepsServing(t *testing.T) {
 	// Storm for 2 requests (opens the breaker), then recover.
 	script := []fault.Outcome{{Err: true}, {Err: true}}
 	f, err := fleet.New(p, fleet.Options{
-		Clock: clock,
+		Clock:         clock,
+		VirtualTimers: true,
 		BackendFor: func(gi int, g fleet.Group) gateway.Backend {
 			clean := gateway.SimulatedBackend{
 				Profile: lambda.DefaultProfile(),

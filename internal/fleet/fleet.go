@@ -15,17 +15,18 @@ import (
 )
 
 // Options parameterizes New beyond the plan itself. The zero value serves
-// every group on a simulated backend with wall-clock timers and no tuner.
+// every group on a simulated backend on the wall clock, with no tuner.
 type Options struct {
 	// BackendFor, when non-nil, supplies each group's backend (gi is the
 	// group index into the assignment). nil builds a SimulatedBackend from
 	// the group's profile and pricing.
 	BackendFor func(gi int, g Group) gateway.Backend
 	// Clock is the shared gateway clock (nil = wall clock). Virtual-time
-	// drivers inject an obs.ManualClock.
+	// drivers inject an obs.ManualClock, which needs VirtualTimers.
 	Clock obs.Clock
-	// VirtualTimers disables wall-clock batch timers on every group
-	// gateway; the driver honours NextFlushDeadline/FlushDue instead.
+	// VirtualTimers sets gateway.Config.VirtualTimers on every group: no
+	// group starts a flusher, and the driver fires batch timeouts with
+	// NextFlushDeadline/FlushDue instead.
 	VirtualTimers bool
 	// ObsFor, when non-nil, supplies each group's metric registry (one
 	// gateway's series per registry — the names collide otherwise). nil, or
@@ -271,8 +272,8 @@ func (f *Fleet) Apply(a *Assignment) error {
 	return nil
 }
 
-// NextFlushDeadline returns the earliest virtual batch-timeout deadline
-// across every group's shards, for VirtualTimers drivers.
+// NextFlushDeadline returns the earliest batch-timeout deadline across
+// every group's shards, for VirtualTimers drivers.
 func (f *Fleet) NextFlushDeadline() (float64, bool) {
 	min, ok := 0.0, false
 	for _, g := range f.gws {

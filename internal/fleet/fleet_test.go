@@ -25,7 +25,7 @@ func twoClassPlan() fleet.Plan {
 func TestFleetAccessorsAndRouting(t *testing.T) {
 	clock := &obs.ManualClock{}
 	p := twoClassPlan()
-	f, err := fleet.New(p, fleet.Options{Clock: clock})
+	f, err := fleet.New(p, fleet.Options{Clock: clock, VirtualTimers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFleetAccessorsAndRouting(t *testing.T) {
 
 func TestFleetApply(t *testing.T) {
 	p := twoClassPlan()
-	f, err := fleet.New(p, fleet.Options{Clock: &obs.ManualClock{}})
+	f, err := fleet.New(p, fleet.Options{Clock: &obs.ManualClock{}, VirtualTimers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFleetTunerDecideNow(t *testing.T) {
 			TimeoutsS: []float64{0.05},
 		},
 	}
-	f, err := fleet.New(p, fleet.Options{Clock: clock, Tune: true, WindowLen: 16})
+	f, err := fleet.New(p, fleet.Options{Clock: clock, VirtualTimers: true, Tune: true, WindowLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFleetVirtualFlush(t *testing.T) {
 
 func TestFleetHandler(t *testing.T) {
 	clock := &obs.ManualClock{}
-	f, err := fleet.New(twoClassPlan(), fleet.Options{Clock: clock})
+	f, err := fleet.New(twoClassPlan(), fleet.Options{Clock: clock, VirtualTimers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +301,9 @@ func TestInferErrorStatusesBothDoors(t *testing.T) {
 		{Name: "failing", SLO: 0.1, Initial: one, Shards: 1},
 		{Name: "expiring", SLO: 0.1, Initial: one, Shards: 1, Resilience: expiring},
 	}}, fleet.Options{
-		Clock:      clock,
-		BackendFor: func(int, fleet.Group) gateway.Backend { return stallingBackend{clock} },
+		Clock:         clock,
+		VirtualTimers: true,
+		BackendFor:    func(int, fleet.Group) gateway.Backend { return stallingBackend{clock} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +311,7 @@ func TestInferErrorStatusesBothDoors(t *testing.T) {
 	defer f.Close()
 	gw := func(res gateway.Resilience) http.Handler {
 		g, err := gateway.New(stallingBackend{clock}, nil, gateway.Config{
-			Initial: one.Config(), Clock: clock, Resilience: res, Shards: 1,
+			Initial: one.Config(), Clock: clock, VirtualTimers: true, Resilience: res, Shards: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -342,8 +343,10 @@ func TestInferErrorStatusesBothDoors(t *testing.T) {
 }
 
 func TestFleetSingleClassHandlerDefaultsClass(t *testing.T) {
+	// The default class config batches (B = 4, T = 0.1 s): on the wall
+	// clock the flusher dispatches the lone request at its timeout.
 	f, err := fleet.New(fleet.Plan{Classes: []fleet.ClassSpec{{Name: "only", SLO: 0.5, Shards: 1}}},
-		fleet.Options{Clock: &obs.ManualClock{}})
+		fleet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,9 @@ func runGolden(t *testing.T, gc goldenCase) (snapshot, events []byte) {
 		Pricing: func() *lambda.Pricing { p := lambda.DefaultPricing(); return &p }(),
 	}
 	f, err := fleet.New(fleet.Plan{Classes: []fleet.ClassSpec{gc.spec}}, fleet.Options{
-		Clock:      clock,
-		BackendFor: func(int, fleet.Group) gateway.Backend { return backend },
+		Clock:         clock,
+		VirtualTimers: true,
+		BackendFor:    func(int, fleet.Group) gateway.Backend { return backend },
 	})
 	if err != nil {
 		t.Fatalf("golden %q: %v", gc.name, err)

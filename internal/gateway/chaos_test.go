@@ -6,6 +6,7 @@ package gateway_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"deepbat/internal/fault/faulttest"
 	"deepbat/internal/gateway"
 	"deepbat/internal/lambda"
+	"deepbat/internal/obs"
 )
 
 // invocationCost is the clean-path cost of one batched invocation under the
@@ -31,6 +33,7 @@ func TestChaosScenarios(t *testing.T) {
 	initial := lambda.Config{MemoryMB: 2048, BatchSize: 2, TimeoutS: 60}
 	fallback := lambda.Config{MemoryMB: 1024, BatchSize: 1, TimeoutS: 0}
 	one := lambda.Config{MemoryMB: 2048, BatchSize: 1, TimeoutS: 0}
+	batching := lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 1}
 
 	cases := []struct {
 		s     faulttest.Scenario
@@ -338,6 +341,115 @@ func TestChaosScenarios(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A partial batch leaves by timeout: nothing at half its T,
+			// both requests at exactly T on the scenario's own clock.
+			s: faulttest.Scenario{
+				Name:    "timeout-partial-batch",
+				Plan:    fault.Plan{},
+				Initial: batching,
+				SLO:     2,
+				Steps: []faulttest.Step{
+					{Enqueue: 2},
+					{AdvanceS: 0.5, Flush: true},
+					{AdvanceS: 0.5, Flush: true, Await: 2},
+				},
+			},
+			check: func(t *testing.T, r faulttest.Result) {
+				for _, resp := range r.Responses {
+					if resp.Error != "" || resp.BatchSize != 2 || resp.LatencyMS != 1000 {
+						t.Fatalf("response = %+v, want a clean pair at the 1000ms timeout", resp)
+					}
+				}
+				want := gateway.Stats{
+					Served: 2, Invocations: 1, P95LatencyMS: 1000,
+					TotalCostUSD: invocationCost(2048, 2),
+					Config:       batching,
+					BreakerState: "closed",
+				}
+				if r.Stats != want {
+					t.Fatalf("stats = %+v, want %+v", r.Stats, want)
+				}
+				assertDispatches(t, r, 1, 0)
+			},
+		},
+		{
+			// A timed-out batch fails once and succeeds on its retry.
+			s: faulttest.Scenario{
+				Name:    "timeout-retry-success",
+				Plan:    fault.Plan{Script: []fault.Outcome{{Err: true}, {}}},
+				Initial: batching,
+				Resilience: gateway.Resilience{
+					MaxRetries: 1,
+					RetryBase:  time.Millisecond,
+				},
+				JitterSeed: 1,
+				SLO:        2,
+				Steps: []faulttest.Step{
+					{Enqueue: 2},
+					{AdvanceS: 1, Flush: true, Await: 2},
+				},
+			},
+			check: func(t *testing.T, r faulttest.Result) {
+				for _, resp := range r.Responses {
+					if resp.Error != "" || resp.BatchSize != 2 {
+						t.Fatalf("response = %+v", resp)
+					}
+				}
+				want := gateway.Stats{
+					Served: 2, Invocations: 1, P95LatencyMS: 1000,
+					Retries: 1, BackendFailures: 1,
+					TotalCostUSD: invocationCost(2048, 2),
+					Config:       batching,
+					BreakerState: "closed",
+				}
+				if r.Stats != want {
+					t.Fatalf("stats = %+v, want %+v", r.Stats, want)
+				}
+				if r.Invocations != 2 {
+					t.Fatalf("backend consumed %d invocations, want 2", r.Invocations)
+				}
+				assertDispatches(t, r, 1, 0)
+			},
+		},
+		{
+			// The batch times out at 2 s with a 1.5 s request deadline:
+			// the request that opened it has expired, the one that joined
+			// a second later is served alone.
+			s: faulttest.Scenario{
+				Name:    "timeout-deadline-expiry",
+				Plan:    fault.Plan{},
+				Initial: lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 2},
+				Resilience: gateway.Resilience{
+					RequestTimeoutS: 1.5,
+				},
+				SLO: 2,
+				Steps: []faulttest.Step{
+					{Enqueue: 1},
+					{AdvanceS: 1, Enqueue: 1},
+					{AdvanceS: 1, Flush: true, Await: 2},
+				},
+			},
+			check: func(t *testing.T, r faulttest.Result) {
+				expired, served := r.Responses[0], r.Responses[1]
+				if expired.Error != gateway.ErrDeadlineExceeded.Error() || expired.LatencyMS != 2000 {
+					t.Fatalf("first response = %+v, want a deadline error at 2000ms", expired)
+				}
+				if served.Error != "" || served.BatchSize != 1 || served.LatencyMS != 1000 {
+					t.Fatalf("second response = %+v, want a clean singleton at 1000ms", served)
+				}
+				want := gateway.Stats{
+					Served: 1, Invocations: 1, DeadlineExpired: 1, P95LatencyMS: 1000,
+					TotalCostUSD: invocationCost(2048, 1),
+					Config:       lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 2},
+					BreakerState: "closed",
+				}
+				if r.Stats != want {
+					t.Fatalf("stats = %+v, want %+v", r.Stats, want)
+				}
+				assertDispatches(t, r, 1, 0)
+			},
+		},
 	}
 
 	for _, tc := range cases {
@@ -346,6 +458,24 @@ func TestChaosScenarios(t *testing.T) {
 			r := faulttest.AssertDeterministic(t, tc.s)
 			tc.check(t, r)
 		})
+	}
+}
+
+// assertDispatches checks a run's timeout and Stop-flush dispatch counts in
+// its metric snapshot.
+func assertDispatches(t *testing.T, r faulttest.Result, timeout, flush float64) {
+	t.Helper()
+	var snap obs.Snapshot
+	if err := json.Unmarshal(r.Snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, s := range snap.Series {
+		got[s.Name] = s.Value
+	}
+	if got["gateway_dispatch_timeout_total"] != timeout || got["gateway_dispatch_flush_total"] != flush {
+		t.Fatalf("dispatches: %v timeout, %v flush; want %v and %v",
+			got["gateway_dispatch_timeout_total"], got["gateway_dispatch_flush_total"], timeout, flush)
 	}
 }
 

@@ -8,9 +8,9 @@
 // (M, B, T).
 //
 // Intake is sharded: request IDs hash (seed-stable splitmix64) onto P
-// independent batcher shards, each with its own queue, batch timer, circuit
-// breaker, and object pools, so admission never funnels through one mutex.
-// The optimizer's configuration fans out to shards through an atomic
+// independent batcher shards, each with its own queue, batch deadline,
+// circuit breaker, and object pools, so admission never funnels through one
+// mutex. The optimizer's configuration fans out to shards through an atomic
 // pointer; per-shard tallies merge in shard order, so deterministic drivers
 // see deterministic merged figures, and P = 1 reproduces the single-queue
 // gateway bit for bit (see testdata/preshard). Submit/Do is the one way in —
@@ -182,14 +182,11 @@ type Config struct {
 	// accumulates its own batches, so with P shards a size-B dispatch
 	// needs B same-shard arrivals, not B total.
 	Shards int
-	// VirtualTimers disables the wall-clock batch timeout timers. Instead
-	// of arming time.AfterFunc per opened batch, shards record the batch's
-	// virtual flush deadline (open stamp + TimeoutS on the injected Clock),
-	// and a serialized driver honours it with NextFlushDeadline/FlushDue.
-	// This is how internal/replay runs trace time through the real batching
-	// hot path deterministically: timeouts fire exactly at their modeled
-	// instant, in shard order, on the driver's goroutine. Leave false for
-	// wall-clock serving.
+	// VirtualTimers means the caller drives batch timeouts through
+	// NextFlushDeadline/FlushDue, so the gateway starts no flusher. It is
+	// how internal/replay and the chaos harness fire each timeout at its
+	// modeled instant, in shard order, on the driver's goroutine. An
+	// *obs.ManualClock requires it; leave it false for wall-clock serving.
 	VirtualTimers bool
 }
 
@@ -236,14 +233,6 @@ type activeCfg struct {
 	str string
 }
 
-// dispatch causes, as recorded in the gateway_dispatch_*_total counters.
-const (
-	causeSize      = "size"      // batch reached B
-	causeTimeout   = "timeout"   // batch timer fired
-	causeImmediate = "immediate" // B = 1 or T = 0: no accumulation
-	causeFlush     = "flush"     // Stop drained the open batch
-)
-
 // metrics holds the gateway's registered series; names are documented in
 // the README metric reference table. All series are gateway-wide: shards
 // update them directly (counters and the pending gauge commute, so merged
@@ -255,14 +244,11 @@ type metrics struct {
 	cost        *obs.Counter
 	violations  *obs.Counter
 	invocations *obs.Counter
-	dispatch    map[string]*obs.Counter // by cause
-	// Pre-bound dispatch-cause counters so the per-batch hot path resolves
-	// its counter with a switch on the cause constant instead of a map
-	// lookup. Same counters as the map entries.
-	dSize      *obs.Counter
-	dTimeout   *obs.Counter
-	dImmediate *obs.Counter
-	dFlush     *obs.Counter
+	// Dispatch causes: execute increments the one its batch left by.
+	dSize      *obs.Counter // batch reached B
+	dTimeout   *obs.Counter // batch deadline reached
+	dImmediate *obs.Counter // B = 1 or T = 0: no accumulation
+	dFlush     *obs.Counter // Stop drained the open batch
 	reconfigs  *obs.Counter
 	decideErrs *obs.Counter
 	retries    *obs.Counter
@@ -281,7 +267,7 @@ type metrics struct {
 // newMetrics registers the gateway series on reg. Registration errors (name
 // collisions from an injected registry) propagate to New.
 func newMetrics(reg *obs.Registry) (*metrics, error) {
-	m := &metrics{dispatch: make(map[string]*obs.Counter)}
+	m := &metrics{}
 	var err error
 	register := func(dst **obs.Counter, name, help string) {
 		if err == nil {
@@ -300,16 +286,10 @@ func newMetrics(reg *obs.Registry) (*metrics, error) {
 	register(&m.expired, "gateway_deadline_expired_total", "requests failed fast at their per-request deadline")
 	register(&m.shed, "gateway_shed_total", "requests served under the fallback configuration while the breaker was open")
 	register(&m.brOpens, "gateway_breaker_opens_total", "circuit-breaker open transitions")
-	for _, cause := range []string{causeSize, causeTimeout, causeImmediate, causeFlush} {
-		c := cause
-		var dst *obs.Counter
-		register(&dst, "gateway_dispatch_"+c+"_total", "batches dispatched because of "+c)
-		m.dispatch[c] = dst
-	}
-	m.dSize = m.dispatch[causeSize]
-	m.dTimeout = m.dispatch[causeTimeout]
-	m.dImmediate = m.dispatch[causeImmediate]
-	m.dFlush = m.dispatch[causeFlush]
+	register(&m.dSize, "gateway_dispatch_size_total", "batches dispatched because of size")
+	register(&m.dTimeout, "gateway_dispatch_timeout_total", "batches dispatched because of timeout")
+	register(&m.dImmediate, "gateway_dispatch_immediate_total", "batches dispatched because of immediate")
+	register(&m.dFlush, "gateway_dispatch_flush_total", "batches dispatched because of flush")
 	if err != nil {
 		return nil, err
 	}
@@ -382,9 +362,15 @@ type Gateway struct {
 	reconfigs  int
 	decideErrs int
 
+	// armedAt is the float64 bits of the flusher's armed deadline (+Inf
+	// while it scans or idles, 0 under VirtualTimers); a shard opening a
+	// batch due earlier sends a token on wake.
+	armedAt atomic.Uint64
+	wake    chan struct{}
+
 	stop    chan struct{}
-	loopWG  sync.WaitGroup // control loop
-	timerWG sync.WaitGroup // armed batch timers (fired or cancelled)
+	loopWG  sync.WaitGroup // control loop and flusher
+	flushWG sync.WaitGroup // timed-out batches the flusher dispatched
 }
 
 // New builds and starts a gateway. decide may be nil (static configuration).
@@ -397,6 +383,9 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 	}
 	if conf.Shards < 0 {
 		return nil, errors.New("gateway: negative shard count")
+	}
+	if _, manual := conf.Clock.(*obs.ManualClock); manual && !conf.VirtualTimers {
+		return nil, errors.New("gateway: a manual clock needs VirtualTimers (the caller drives FlushDue)")
 	}
 	nShards := conf.Shards
 	if nShards == 0 {
@@ -424,7 +413,11 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 		met:     met,
 		initial: &activeCfg{cfg: conf.Initial, str: conf.Initial.String()},
 		parser:  core.NewWorkloadParser(conf.WindowLen),
+		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
+	}
+	if !conf.VirtualTimers {
+		g.armedAt.Store(math.Float64bits(math.Inf(1)))
 	}
 	fb := conf.Resilience.Fallback
 	if !fb.Valid() {
@@ -441,8 +434,9 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Start launches the control loop. It is called by New; calling it again is
-// a no-op, as is calling it after Stop.
+// Start launches the control loop and, without Config.VirtualTimers, the
+// batch-timeout flusher. It is called by New; calling it again is a no-op,
+// as is calling it after Stop.
 func (g *Gateway) Start() {
 	g.smu.Lock()
 	defer g.smu.Unlock()
@@ -455,15 +449,21 @@ func (g *Gateway) Start() {
 		//lint:allow goroutine-discipline long-lived control loop; joined via g.loopWG.Wait in Stop
 		go g.controlLoop()
 	}
+	if !g.conf.VirtualTimers {
+		g.loopWG.Add(1)
+		//lint:allow goroutine-discipline long-lived batch-timeout flusher; joined via g.loopWG.Wait in Stop
+		go g.flushLoop()
+	}
 }
 
 // Stop shuts the gateway down: it stops the control loop, flushes any
 // buffered requests (shard by shard, in shard order), and joins every
-// goroutine the gateway spawned — the control loop and armed batch timers
-// (a batch still retrying skips its remaining backoffs once stop is
-// signalled). Size-triggered batches run on their submitter's goroutine, so
-// callers should drain their HTTP server first: no request may arrive
-// concurrently with the shutdown. It is idempotent.
+// goroutine the gateway spawned — the control loop, the flusher and the
+// timed-out batches it dispatched (a batch still retrying skips its
+// remaining backoffs once stop is signalled). Size-triggered batches run
+// on their submitter's goroutine, so callers should drain their HTTP server
+// first: no request may arrive concurrently with the shutdown. It is
+// idempotent.
 func (g *Gateway) Stop() {
 	g.smu.Lock()
 	if g.stopped {
@@ -478,11 +478,11 @@ func (g *Gateway) Stop() {
 		batch, ac := s.takeBatchLocked()
 		s.mu.Unlock()
 		if len(batch) > 0 {
-			s.execute(batch, ac, causeFlush)
+			s.execute(batch, ac, g.met.dFlush)
 		}
 	}
 	g.loopWG.Wait()
-	g.timerWG.Wait()
+	g.flushWG.Wait()
 	served := 0
 	for _, s := range g.shards {
 		s.mu.Lock()
@@ -602,7 +602,6 @@ func (g *Gateway) Config() lambda.Config {
 // so a serialized driver sees identical merged figures run to run.
 func (g *Gateway) Stats() Stats {
 	var st Stats
-	merged := BreakerClosed
 	var lat []float64
 	for _, s := range g.shards {
 		s.mu.Lock()
@@ -616,21 +615,13 @@ func (g *Gateway) Stats() Stats {
 		st.Shed += s.shedCount
 		st.BreakerOpens += s.brOpens
 		lat = append(lat, s.lat.buf...)
-		switch s.brState {
-		case BreakerOpen:
-			merged = BreakerOpen
-		case BreakerHalfOpen:
-			if merged != BreakerOpen {
-				merged = BreakerHalfOpen
-			}
-		}
 		s.mu.Unlock()
 	}
 	p95, _ := stats.Percentile(lat, 95)
 	st.VCRPercent = stats.VCR(lat, g.conf.SLO)
 	st.P95LatencyMS = p95 * 1000
 	st.Config = g.active.Load().cfg
-	st.BreakerState = merged.String()
+	st.BreakerState = g.Breaker().String()
 	g.smu.Lock()
 	st.Reconfigurations = g.reconfigs
 	st.DecideErrors = g.decideErrs
@@ -640,14 +631,9 @@ func (g *Gateway) Stats() Stats {
 
 // Breaker returns the merged circuit-breaker state across shards: Open if
 // any shard's breaker is open, else HalfOpen if any is probing, else Closed.
+// It reads the shards' lock-free mirrors, so a shard may call it while
+// holding its own mu.
 func (g *Gateway) Breaker() BreakerState {
-	return g.mergedBreakerState()
-}
-
-// mergedBreakerState folds the per-shard breaker states (read from their
-// lock-free mirrors, so shards can call this while holding their own mu)
-// into the severity-ordered merged state the gauge and /stats report.
-func (g *Gateway) mergedBreakerState() BreakerState {
 	merged := BreakerClosed
 	for _, s := range g.shards {
 		switch BreakerState(s.brMirror.Load()) {
@@ -783,46 +769,91 @@ func (g *Gateway) Do() Response {
 	return g.Submit().Wait()
 }
 
-// NextFlushDeadline returns the earliest virtual batch-timeout deadline
-// across shards (clock seconds) and whether any batch is waiting on one.
-// Meaningful only under Config.VirtualTimers with a serialized driver: the
-// driver advances its manual clock to the returned instant and calls
-// FlushDue, reproducing timer dispatch without wall time.
+// NextFlushDeadline returns the earliest open batch's timeout deadline
+// across shards (clock seconds) and whether any batch is waiting on one. The
+// flusher sleeps until it; under Config.VirtualTimers a serialized driver
+// advances its manual clock to it and calls FlushDue, reproducing timeout
+// dispatch without wall time.
 func (g *Gateway) NextFlushDeadline() (float64, bool) {
-	min, ok := 0.0, false
-	for _, s := range g.shards {
-		s.mu.Lock()
-		if len(s.pending) > 0 && s.flushAt > 0 && (!ok || s.flushAt < min) {
-			min, ok = s.flushAt, true
-		}
-		s.mu.Unlock()
-	}
-	return min, ok
+	return g.takeDue(math.Inf(-1), nil) // nothing is due by -Inf: a pure scan
 }
 
 // FlushDue dispatches, synchronously and in shard order, every open batch
-// whose virtual timeout deadline is at or before the gateway clock's current
-// time, exactly as its wall timer would have (causeTimeout accounting
-// included). It returns the number of batches flushed. The caller must be
-// the sole driver of a VirtualTimers gateway; responses are delivered to the
+// whose timeout deadline is at or before the gateway clock's current time,
+// with timeout dispatch accounting. It returns the number of batches flushed.
+// It is how a Config.VirtualTimers driver fires timeouts, and the caller
+// must be that gateway's sole driver; responses are delivered to the
 // batches' waiters as usual.
 func (g *Gateway) FlushDue() int {
-	now := g.clock.Now()
 	n := 0
+	g.takeDue(g.clock.Now(), func(s *shard, batch []*waiter, ac *activeCfg) {
+		s.execute(batch, ac, g.met.dTimeout)
+		n++
+	})
+	return n
+}
+
+// takeDue is the one test of whether a batch has timed out: in shard order,
+// it takes each open batch whose deadline is at or before now and hands it
+// to dispatch outside the shard lock. It returns the earliest deadline of
+// the open batches it left, and whether there is one.
+func (g *Gateway) takeDue(now float64, dispatch func(s *shard, batch []*waiter, ac *activeCfg)) (next float64, ok bool) {
 	for _, s := range g.shards {
 		s.mu.Lock()
 		if len(s.pending) == 0 || s.flushAt <= 0 || s.flushAt > now {
+			if len(s.pending) > 0 && s.flushAt > 0 && (!ok || s.flushAt < next) {
+				next, ok = s.flushAt, true
+			}
 			s.mu.Unlock()
 			continue
 		}
 		batch, ac := s.takeBatchLocked()
 		s.mu.Unlock()
-		if len(batch) > 0 {
-			s.execute(batch, ac, causeTimeout)
-			n++
+		dispatch(s, batch, ac)
+	}
+	return next, ok
+}
+
+// flushLoop is the wall-time driver of batch timeouts: one goroutine asleep
+// on one reusable timer armed to NextFlushDeadline. A shard opening a batch
+// due before the armed deadline wakes it early. Each due batch executes on
+// its own goroutine, so a slow or retrying batch never delays another
+// shard's timeout.
+func (g *Gateway) flushLoop() {
+	defer g.loopWG.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	dispatch := func(s *shard, batch []*waiter, ac *activeCfg) {
+		g.flushWG.Add(1)
+		go func() {
+			defer g.flushWG.Done()
+			s.execute(batch, ac, g.met.dTimeout)
+		}()
+	}
+	for {
+		// +Inf while scanning, so a batch opened mid-scan wakes the next pass.
+		g.armedAt.Store(math.Float64bits(math.Inf(1)))
+		next, ok := g.takeDue(g.clock.Now(), dispatch)
+		if ok {
+			g.armedAt.Store(math.Float64bits(next))
+			// Capped so huge T stays in Duration range; an early wake re-arms.
+			timer.Reset(time.Duration(math.Min(next-g.clock.Now(), 1e9) * float64(time.Second)))
+		}
+		select {
+		case <-g.stop:
+			timer.Stop()
+			return
+		case <-g.wake:
+			// go 1.22 timer rules: drain a fired value before the next Reset.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+		case <-timer.C:
 		}
 	}
-	return n
 }
 
 // backoff returns the wait before retry attempt (0-based): exponential from

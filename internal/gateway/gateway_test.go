@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -40,8 +41,16 @@ func postInfer(t *testing.T, url string) Response {
 }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {
-	if _, err := New(fastBackend(), nil, Config{}); err == nil {
-		t.Fatal("expected error")
+	valid := lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 0.03}
+	for name, conf := range map[string]Config{
+		"invalid initial": {},
+		"negative shards": {Initial: valid, Shards: -1},
+		// A manual clock with a flusher would race the caller's driver.
+		"manual clock without virtual timers": {Initial: valid, Clock: &obs.ManualClock{}},
+	} {
+		if _, err := New(fastBackend(), nil, conf); err == nil {
+			t.Errorf("%s: New accepted the config", name)
+		}
 	}
 }
 
@@ -282,9 +291,10 @@ func TestConcurrentLoad(t *testing.T) {
 }
 
 func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
-	// Regression: a timeout flush can lose the race with a size dispatch
-	// that already drained the queue, leaving flushTimeout (and execute) a
-	// nil batch. That must never reach the backend or the accounting.
+	// Regression: a timeout flush over a queue a size dispatch already
+	// drained must hand nothing on — not from the shared due-batch test,
+	// not from FlushDue, not from execute given a nil batch. None of it
+	// may reach the backend or the accounting.
 	g, err := New(fastBackend(), nil, Config{
 		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 30},
 		SLO:     0.1,
@@ -293,8 +303,15 @@ func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	g.shards[0].flushTimeout()
-	g.shards[0].execute(nil, nil, causeTimeout)
+	if _, ok := g.takeDue(math.Inf(1), func(*shard, []*waiter, *activeCfg) {
+		t.Fatal("takeDue handed on a batch from an empty gateway")
+	}); ok {
+		t.Fatal("takeDue found a deadline on an empty gateway")
+	}
+	if n := g.FlushDue(); n != 0 {
+		t.Fatalf("FlushDue flushed %d batches on an empty gateway", n)
+	}
+	g.shards[0].execute(nil, nil, g.met.dTimeout)
 	s := g.Stats()
 	if s.Invocations != 0 || s.Served != 0 {
 		t.Fatalf("empty flush counted work: %+v", s)

@@ -1,9 +1,9 @@
 package gateway
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"deepbat/internal/obs"
 )
@@ -85,9 +85,9 @@ func shardOf(id uint64, shards int) int {
 	return int(z % uint64(shards))
 }
 
-// shard is one independent batching queue: its own open batch, batch timer,
-// circuit breaker, tallies, and object pools, all guarded by its own mutex.
-// Requests are hashed onto shards by ID; the shared optimizer configuration
+// shard is one independent batching queue: its own open batch and its
+// deadline, circuit breaker, tallies, and object pools, all guarded by its
+// own mutex. Requests are hashed onto shards by ID; the shared optimizer configuration
 // arrives via the gateway's atomic config pointer, captured per batch at
 // open. Tallies are merged by the gateway in shard order (index 0..P-1), so
 // deterministic drivers see deterministic merged figures.
@@ -108,11 +108,9 @@ type shard struct {
 	mu       sync.Mutex
 	pending  []*waiter
 	batchCfg *activeCfg // captured when the open batch started
-	timer    *time.Timer
-	// flushAt is the open batch's timeout deadline in clock seconds
-	// (0 = none armed). Under Config.VirtualTimers it replaces the wall
-	// timer entirely and is honoured by Gateway.FlushDue; otherwise it
-	// mirrors the armed timer for observability.
+	// flushAt is the open batch's timeout deadline in gateway clock
+	// seconds (0 = none). It is the batch timeout's only statement:
+	// Gateway.takeDue dispatches the batch once the clock reaches it.
 	flushAt float64
 
 	// Free-lists backing the zero-alloc steady state.
@@ -193,9 +191,6 @@ func (s *shard) grabSliceLocked() []*waiter {
 // recycleBatch clears a dispatched batch's waiter pointers and returns its
 // backing array to the free-list.
 func (s *shard) recycleBatch(batch []*waiter) {
-	if cap(batch) == 0 {
-		return
-	}
 	s.mu.Lock()
 	s.recycleBatchLocked(batch)
 	s.mu.Unlock()
@@ -220,22 +215,26 @@ func (s *shard) recycleBatchLocked(batch []*waiter) {
 // enqueueWaiterLocked runs the admit→enqueue→dispatch decision for one
 // request with mu held; it unlocks. When the returned batch is non-nil the
 // caller owns its dispatch.
-func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, cause string) {
+func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, cause *obs.Counter) {
 	g := s.g
 	if len(s.pending) == 0 {
-		// Opening a new batch: snapshot the active parameters and arm the
-		// timeout.
+		// Opening a new batch: snapshot the active parameters and record
+		// its deadline.
 		s.batchCfg = g.active.Load()
 		//lint:allow hotpath-alloc appends into the recycled pending backing array (cap 16 from grabSliceLocked); in-capacity in steady state
 		s.pending = append(s.pending, w)
 		if s.batchCfg.cfg.BatchSize > 1 && s.batchCfg.cfg.TimeoutS > 0 {
 			g.met.pending.Add(1)
 			s.flushAt = w.arriveAt + s.batchCfg.cfg.TimeoutS
-			if !g.conf.VirtualTimers {
-				s.armTimerLocked(time.Duration(s.batchCfg.cfg.TimeoutS * float64(time.Second)))
+			if s.flushAt < math.Float64frombits(g.armedAt.Load()) {
+				select { // wake the flusher to re-arm; a pending token already does
+				//lint:allow hotpath-alloc the deadline precedes the flusher's armed one: a non-blocking token send into its 1-buffered wake channel, once per opened batch
+				case g.wake <- struct{}{}:
+				default:
+				}
 			}
 			s.mu.Unlock()
-			return nil, nil, ""
+			return nil, nil, nil
 		}
 		// B = 1 or T = 0: serve immediately, no accumulation. The request
 		// never waits, so the pending gauge (whose +1/-1 would cancel
@@ -245,7 +244,7 @@ func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, 
 		s.pending = s.grabSliceLocked()
 		ac = s.batchCfg
 		s.mu.Unlock()
-		return batch, ac, causeImmediate
+		return batch, ac, g.met.dImmediate
 	}
 	//lint:allow hotpath-alloc appends into the recycled pending backing array (cap 16 from grabSliceLocked); in-capacity in steady state
 	s.pending = append(s.pending, w)
@@ -253,16 +252,16 @@ func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, 
 	if len(s.pending) >= s.batchCfg.cfg.BatchSize {
 		batch, ac = s.takeBatchLocked()
 		s.mu.Unlock()
-		return batch, ac, causeSize
+		return batch, ac, g.met.dSize
 	}
 	s.mu.Unlock()
-	return nil, nil, ""
+	return nil, nil, nil
 }
 
 // submitPooled admits one request: the waiter comes from the lock-free
 // exchange slot when possible, and a single lock acquisition runs the batch
 // decision.
-func (s *shard) submitPooled(id int, arriveAt float64) (w *waiter, batch []*waiter, ac *activeCfg, cause string) {
+func (s *shard) submitPooled(id int, arriveAt float64) (w *waiter, batch []*waiter, ac *activeCfg, cause *obs.Counter) {
 	if w = s.freeSlot.Swap(nil); w != nil {
 		checkWaiterClean(w)
 		w.id, w.arriveAt = id, arriveAt
@@ -275,28 +274,6 @@ func (s *shard) submitPooled(id int, arriveAt float64) (w *waiter, batch []*wait
 	return w, batch, ac, cause
 }
 
-// armTimerLocked starts the batch timeout and registers it with the
-// gateway's timerWG so Stop can join it whether it fires or is cancelled.
-// Callers hold mu.
-func (s *shard) armTimerLocked(d time.Duration) {
-	s.g.timerWG.Add(1)
-	//lint:allow hotpath-alloc one timer per opened batch, amortized over its B requests; the B=1/T=0 zero-alloc configuration never arms it
-	s.timer = time.AfterFunc(d, func() {
-		defer s.g.timerWG.Done()
-		s.flushTimeout()
-	})
-}
-
-// flushTimeout dispatches the open batch when its timer fires.
-func (s *shard) flushTimeout() {
-	s.mu.Lock()
-	batch, ac := s.takeBatchLocked()
-	s.mu.Unlock()
-	if len(batch) > 0 {
-		s.execute(batch, ac, causeTimeout)
-	}
-}
-
 // takeBatchLocked removes and returns the pending batch together with the
 // parameters it was opened under, swapping in a recycled backing array.
 // Callers hold mu.
@@ -306,13 +283,6 @@ func (s *shard) takeBatchLocked() ([]*waiter, *activeCfg) {
 	s.pending = s.grabSliceLocked()
 	s.g.met.pending.Add(-float64(len(batch)))
 	s.flushAt = 0
-	if s.timer != nil {
-		if s.timer.Stop() {
-			// The callback will never run; release its timerWG slot here.
-			s.g.timerWG.Done()
-		}
-		s.timer = nil
-	}
 	return batch, s.batchCfg
 }
 
@@ -375,7 +345,7 @@ func (s *shard) admitBreaker(ac *activeCfg) (*activeCfg, bool) {
 	if g.clock.Now()-s.brOpenedAt >= r.BreakerCooldownS {
 		s.brState = BreakerHalfOpen
 		s.brMirror.Store(int32(BreakerHalfOpen))
-		g.met.brState.Set(float64(g.mergedBreakerState()))
+		g.met.brState.Set(float64(g.Breaker()))
 		//lint:allow hotpath-alloc breaker transitions are rare; telemetry events off the steady-state path may allocate
 		g.rec.Event("breaker_half_open")
 		return ac, false
@@ -407,7 +377,7 @@ func (s *shard) noteFailure() {
 			s.brOpenedAt = g.clock.Now()
 			s.brOpens++
 			g.met.brOpens.Inc()
-			g.met.brState.Set(float64(g.mergedBreakerState()))
+			g.met.brState.Set(float64(g.Breaker()))
 			//lint:allow hotpath-alloc breaker transitions are rare; telemetry events off the steady-state path may allocate
 			g.rec.Event("breaker_open", obs.I("consecutive_failures", s.brFails))
 		}
@@ -427,7 +397,7 @@ func (s *shard) noteSuccess() {
 	if s.brState == BreakerHalfOpen {
 		s.brState = BreakerClosed
 		s.brMirror.Store(int32(BreakerClosed))
-		g.met.brState.Set(float64(g.mergedBreakerState()))
+		g.met.brState.Set(float64(g.Breaker()))
 		//lint:allow hotpath-alloc breaker transitions are rare; telemetry events off the steady-state path may allocate
 		g.rec.Event("breaker_close")
 	}
@@ -457,13 +427,13 @@ func (s *shard) failBatch(batch []*waiter, cause error, attempts int) {
 // execute runs a batch on the backend — retrying failures with capped,
 // jittered exponential backoff, expiring per-request deadlines between
 // attempts, and honouring this shard's circuit breaker — then resolves
-// every waiter and recycles the batch backing array. It allocates nothing
-// on the clean path.
-func (s *shard) execute(batch []*waiter, ac *activeCfg, cause string) {
+// every waiter and recycles the batch backing array. A served batch counts
+// once on cause, its dispatch-cause counter. It allocates nothing on the
+// clean path.
+func (s *shard) execute(batch []*waiter, ac *activeCfg, cause *obs.Counter) {
 	if len(batch) == 0 {
-		// Empty-batch race: a timeout flush can lose the race with a
-		// size/flush dispatch that already drained the queue. Never invoke
-		// the backend — or count an invocation — for nothing.
+		// Never invoke the backend — or count an invocation — for an
+		// empty batch.
 		return
 	}
 	g := s.g
@@ -526,18 +496,7 @@ func (s *shard) execute(batch []*waiter, ac *activeCfg, cause string) {
 	g.met.invocations.Inc()
 	g.met.cost.Add(cost)
 	g.met.batchSize.Observe(float64(len(batch)))
-	// Resolve the dispatch-cause counter without the map lookup: cause is
-	// always one of the four constants on this path.
-	switch cause {
-	case causeImmediate:
-		g.met.dImmediate.Inc()
-	case causeSize:
-		g.met.dSize.Inc()
-	case causeTimeout:
-		g.met.dTimeout.Inc()
-	case causeFlush:
-		g.met.dFlush.Inc()
-	}
+	cause.Inc()
 	if shedding {
 		g.met.shed.Add(float64(len(batch)))
 	}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -419,5 +420,118 @@ func TestMultiShardTimersFlushIndependently(t *testing.T) {
 	}
 	if st := g.Stats(); st.Served != 9 {
 		t.Fatalf("served %d, want 9", st.Served)
+	}
+}
+
+// failFirstOfSize fails the first invocation of a batch of exactly size
+// requests and serves everything else.
+type failFirstOfSize struct {
+	inner  SimulatedBackend
+	size   int
+	failed atomic.Bool
+}
+
+func (f *failFirstOfSize) Execute(cfg lambda.Config, batchSize int) (time.Duration, float64, error) {
+	if batchSize == f.size && f.failed.CompareAndSwap(false, true) {
+		return 0, 0, ErrBackendFailed
+	}
+	return f.inner.Execute(cfg, batchSize)
+}
+
+// TestWallFlusherTimesOutEveryShard drives the wall-clock flusher at P = 2,
+// B = 8, T = 20 ms: both shards' partial batches dispatch by timeout, the
+// batch in retry backoff on one shard does not hold back the other shard's
+// timeout, and Stop leaves no goroutine behind (several cycles, so one
+// leaked flusher per cycle shows over the baseline).
+func TestWallFlusherTimesOutEveryShard(t *testing.T) {
+	const backoff = 150 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	for cycle := 0; cycle < 3; cycle++ {
+		g, err := New(&failFirstOfSize{inner: fastBackend(), size: 2}, nil, Config{
+			Initial:    lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 0.02},
+			SLO:        1,
+			Shards:     2,
+			Resilience: Resilience{MaxRetries: 1, RetryBase: backoff},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// IDs 2 and 4 route to shard 0, ID 3 to shard 1 (TestShardOfFrozen).
+		// Shard 0's pair opens first and is the first batch takeDue visits;
+		// it fails once and backs off, while shard 1's single is clean.
+		g.lastID.Store(1)
+		handles := []Handle{g.Submit(), g.Submit(), g.Submit()}
+		var resp [3]Response
+		for i, h := range handles {
+			resp[i] = h.Wait()
+		}
+		for i, r := range resp {
+			if r.Error != "" || r.LatencyMS < 19.9 {
+				t.Fatalf("cycle %d: response %d = %+v, want clean and at or after the 20 ms timeout", cycle, i, r)
+			}
+		}
+		if single := resp[1]; single.BatchSize != 1 || single.LatencyMS >= float64(backoff.Milliseconds()) {
+			t.Fatalf("cycle %d: shard 1's batch %+v waited on shard 0's %v backoff", cycle, single, backoff)
+		}
+		for _, i := range []int{0, 2} {
+			if r := resp[i]; r.BatchSize != 2 || r.LatencyMS < float64(backoff.Milliseconds()) {
+				t.Fatalf("cycle %d: shard 0's response %+v, want a pair served after the backoff", cycle, r)
+			}
+		}
+		if got := g.met.dTimeout.Value(); got != 2 || g.met.dSize.Value() != 0 {
+			t.Fatalf("cycle %d: %v timeout and %v size dispatches, want 2 and 0", cycle, got, g.met.dSize.Value())
+		}
+		g.Stop()
+		if got := g.met.dFlush.Value(); got != 0 {
+			t.Fatalf("cycle %d: Stop flushed %v batches, want 0", cycle, got)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= baseline+2 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
+}
+
+// TestWallFlusherWakesForEarlierDeadline opens a batch under an hour-long
+// timeout, so the flusher sleeps toward it, then reconfigures to 20 ms: the
+// next batch, due first, must wake the flusher rather than wait its turn.
+func TestWallFlusherWakesForEarlierDeadline(t *testing.T) {
+	g, err := New(fastBackend(), nil, Config{
+		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 3600},
+		SLO:     1,
+		Shards:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := g.Submit() // ID 1, shard 1: due in an hour
+	for math.IsInf(math.Float64frombits(g.armedAt.Load()), 1) {
+		runtime.Gosched() // until the flusher sleeps toward it
+	}
+	if err := g.Reconfigure(lambda.Config{MemoryMB: 2048, BatchSize: 8, TimeoutS: 0.02}); err != nil {
+		t.Fatal(err)
+	}
+	early := g.Submit() // ID 2, shard 0: due in 20 ms
+	got := make(chan Response, 1)
+	go func() { got <- early.Wait() }()
+	select {
+	case r := <-got:
+		if r.Error != "" || r.BatchSize != 1 || r.LatencyMS < 19.9 {
+			t.Fatalf("early response = %+v, want a timeout-dispatched singleton", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the earlier deadline did not wake the flusher")
+	}
+	g.Stop()
+	if r := late.Wait(); r.Error != "" {
+		t.Fatalf("late response = %+v", r)
+	}
+	if g.met.dTimeout.Value() != 1 || g.met.dFlush.Value() != 1 {
+		t.Fatalf("dispatch causes: %v timeout, %v flush; want 1 and 1",
+			g.met.dTimeout.Value(), g.met.dFlush.Value())
 	}
 }

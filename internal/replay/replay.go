@@ -6,10 +6,11 @@
 // it is the only one: Run puts a single gateway behind it, RunFleet a fleet,
 // and internal/loadgen's open loops are Run/RunFleet over a Poisson trace.
 // Arrivals are taken from the trace (optionally compressed by a time-scale
-// factor), the gateways run with Config.VirtualTimers so batch timeouts fire
-// exactly at their modeled instants via NextFlushDeadline/FlushDue, and a
-// clock-advancing backend charges each invocation's deterministic service
-// time to the same clock. The result: every latency, dispatch cause, and
+// factor), the gateways run with Config.VirtualTimers, so this driver rather
+// than a flusher goroutine fires each batch timeout at its modeled instant
+// via NextFlushDeadline/FlushDue (the same deadline test the wall-clock
+// flusher runs), and a clock-advancing backend charges each invocation's
+// deterministic service time to the same clock. The result: every latency, dispatch cause, and
 // cost in the report is a pure function of (trace bytes, replay config) — the
 // same trace file and seed produce byte-identical reports across runs,
 // machines, and GOMAXPROCS values. That is the property `make replay-smoke`
