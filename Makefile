@@ -16,9 +16,8 @@ GO ?= go
 # which pools waiters across shard mutexes and a lock-free exchange slot), the
 # fault-injection layer (whose FaultyBackend counter is hit from concurrent
 # batch executions), the observability registry/recorder hammered from many
-# goroutines, the load generator's closed-loop worker pool, and the analysis
-# engine (whose loader type-checks packages while tests run fixtures in
-# parallel), the workload/replay pair (whose replay driver runs the
+# goroutines, the load generator's closed-loop worker pool, the
+# workload/replay pair (whose replay driver runs the
 # gateway's batching goroutines from a virtual-time driver), the sweep
 # engine (worker pools claiming cells off a shared atomic cursor), the
 # qsim grid search (which fans out over sweep workers), the fleet layer
@@ -26,7 +25,7 @@ GO ?= go
 # all run concurrent goroutines), and the experiments lab (whose
 # cell-parallel figures must stay invariant under the detector's
 # scheduling perturbation).
-RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/optimizer/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/analysis/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
+RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/optimizer/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
 
 # Per-package coverage floors enforced by `make cover` (see the cover target).
 COVER_FLOOR_GATEWAY = 80
@@ -66,8 +65,9 @@ test: verify
 ## race: run the concurrency-sensitive packages under the race detector.
 ## The gateway is additionally run with the poolcheck build tag, which
 ## poisons recycled waiters on put and panics on double-put, on a waiter
-## pooled unresolved or with a response or wake-up token left on it, or on
-## dirty reuse — pool-hygiene bugs the race detector alone cannot see.
+## pooled unresolved or with a response or wake-up token left on it, on
+## dirty reuse, or on a batch backing array recycled twice — pool-hygiene
+## bugs the race detector alone cannot see.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -tags poolcheck ./internal/gateway/
@@ -124,7 +124,7 @@ sweep-smoke:
 ## wall-clock timeout flusher (T = 2 ms) all live —
 ## plus the fleet fault-isolation scenarios (an error storm on one class
 ## opens only that class's breaker; sibling groups' observable bytes are
-## unchanged). Bounded to ~25s (15s soak + harness overhead).
+## unchanged). Bounded to ~20s (15s soak + harness overhead).
 chaos:
 	CHAOS_SOAK_S=15 $(GO) test -race -run 'TestChaosSoak|TestChaosScenarios|TestChaosNoLeakedGoroutines' -v -timeout 120s ./internal/gateway/
 	$(GO) test -race -run 'TestFleetChaos' -v -timeout 120s ./internal/fleet/

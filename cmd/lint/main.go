@@ -14,7 +14,7 @@
 //
 // The module is parsed and type-checked exactly once per invocation; all
 // rules share the loaded Program, so running the full suite costs one load
-// plus nine cheap AST walks (-time shows the per-rule split).
+// plus six cheap AST walks (-time shows the per-rule split).
 //
 // Exit status: 0 when clean, 1 when findings are reported, 2 on load or
 // type-check errors.

@@ -26,23 +26,11 @@
 //   - obs-register: library code registers internal/obs metrics through the
 //     error-returning methods, never the panicking Must* wrappers —
 //     duplicate registration must error, not crash the process.
-//   - hotpath-alloc: the call closure of a function annotated
-//     `//deepbat:hotpath` must be allocation-free: no make/new, no append,
-//     no escaping composite literals, no closures or goroutine launches, no
-//     interface boxing, no fmt/string building, no map or channel
-//     operations. The dynamic counterpart is the AllocsPerRun gate in
-//     gateway's TestDoZeroAllocSteadyState; this rule also covers the cold
-//     branches a test never exercises.
-//   - pool-ownership: values obtained from a pool Get (sync.Pool, the
-//     gateway waiter/batch free-lists) are tracked through the
-//     function: double-Put, use-after-Put, and storing a live pooled value
-//     to the heap are errors — the static counterpart of the poolcheck
-//     build tag's runtime poisoning.
-//   - atomics-discipline: a struct field touched through function-style
-//     sync/atomic calls anywhere in the module must never be read or
-//     written plainly elsewhere; structs containing sync/atomic state must
-//     not be copied; and `//deepbat:hotpath` code must not acquire a lock
-//     its non-hotpath caller already holds (two-level lock-order check).
+//
+// Each rule is the only guard for its hazard. Allocation-free serving, pool
+// hygiene and lock/atomic discipline are guarded by running code instead —
+// AllocsPerRun budget tests, the poolcheck build tag, `go vet` copylocks
+// and typed sync/atomic values (DESIGN.md "Retired rules").
 //
 // Deliberate exceptions are documented in the source with
 //
@@ -53,13 +41,6 @@
 // directive naming a rule that does not exist — exemptions can never be
 // silent or silently stale. One comment may carry several directives
 // (`//lint:allow ruleA why //lint:allow ruleB why`).
-//
-// For the call-graph rules (hotpath-alloc), an allow directive at a call
-// site both suppresses findings on that line and cuts traversal into the
-// callee: the waiver vouches for the whole subtree behind the call, which
-// keeps waiver noise out of callee packages (internal/obs may allocate;
-// the hot path documents, at its own call sites, why calling into it is
-// acceptable).
 package analysis
 
 import (
@@ -106,8 +87,7 @@ type Program struct {
 	declPkg map[*types.Func]*Package
 
 	// allows is the parsed //lint:allow suppression set, built once per
-	// program by buildAllows (Run does it; analyzers that cut call-graph
-	// edges at waived call sites query it through allowedAt).
+	// program by buildAllows (Run does it).
 	allows        map[allowKey]bool
 	badDirectives []Finding
 	allowsBuilt   bool
@@ -130,9 +110,6 @@ func Analyzers() []Analyzer {
 		&Goroutine{},
 		&NoPrint{},
 		&ObsRegister{},
-		&HotPathAlloc{},
-		&PoolOwnership{},
-		&AtomicsDiscipline{},
 	}
 }
 
@@ -156,13 +133,6 @@ func (p *Program) buildIndexes() {
 	}
 }
 
-// FuncDecl returns the syntax and owning package for a function object
-// declared anywhere in the loaded program, or (nil, nil) for functions
-// outside it (stdlib, interface methods).
-func (p *Program) FuncDecl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	return p.decls[fn], p.declPkg[fn]
-}
-
 // inLibraryScope reports whether pkg is library code: the module root
 // facade or anything under internal/. cmd/ and examples/ are user-facing
 // and exempt from the library-only rules.
@@ -173,7 +143,7 @@ func (p *Program) inLibraryScope(pkg *Package) bool {
 // calleeFunc resolves the static callee of a call expression, or nil when
 // the callee is not a plain function or method (conversion, func value,
 // builtin, interface method lookup still yields the interface *types.Func —
-// callers that need a body must check FuncDecl).
+// callers that need a body must look it up in Program.decls).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -288,10 +258,9 @@ func (p *Program) buildAllows() {
 }
 
 // allowedAt reports whether a finding of the given rule at pos is waived by
-// a directive on its line or the line directly above. Analyzers that walk
-// call graphs use this to cut traversal at waived call sites.
+// a directive on its line or the line directly above. buildAllows must have
+// run.
 func (p *Program) allowedAt(pos token.Position, rule string) bool {
-	p.buildAllows()
 	return p.allows[allowKey{pos.Filename, pos.Line, rule}] ||
 		p.allows[allowKey{pos.Filename, pos.Line - 1, rule}]
 }

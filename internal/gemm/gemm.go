@@ -42,8 +42,6 @@ const BlockedThreshold = 1 << 15
 // with the reference ikj loop: row-wise streaming of B, per-cell ascending
 // summation over j, skipping zero A entries. dst rows in [lo, hi) are
 // overwritten.
-//
-//deepbat:hotpath
 func Naive(dst, a, b []float64, lo, hi, k, m int) {
 	for i := lo; i < hi; i++ {
 		dOff := i * m
@@ -76,8 +74,6 @@ func PackedLen(k, m int) int { return k * m }
 // row-major (j, cc) order — dst[c0*k + j*w + cc] = b[j*m + c0 + cc]. Within
 // a panel every micro-kernel step j reads w contiguous floats, so the fast
 // kernel streams one buffer linearly instead of striding across B.
-//
-//deepbat:hotpath
 func Pack(dst, b []float64, k, m int) {
 	if len(dst) < k*m {
 		panic("gemm: Pack scratch too small")
@@ -99,8 +95,6 @@ func Pack(dst, b []float64, k, m int) {
 // from a packed copy of B (see Pack). It is bit-identical to Naive over the
 // same rows. packed is read-only, so one packed buffer may be shared by
 // concurrent row-range workers.
-//
-//deepbat:hotpath
 func Blocked(dst, a, packed []float64, lo, hi, k, m int) {
 	for c0 := 0; c0 < m; c0 += panelWidth {
 		w := m - c0
@@ -169,8 +163,6 @@ func mulPanelW(dst, a, panel []float64, w int) {
 // would — the per-cell operation sequence is the same, only split across two
 // calls — which is what lets a caller share the A1·B1 partial product
 // between rows that differ only in A2.
-//
-//deepbat:hotpath
 func BlockedAcc(dst, a, packed []float64, lo, hi, k, m int) {
 	for c0 := 0; c0 < m; c0 += panelWidth {
 		w := m - c0

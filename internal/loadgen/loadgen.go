@@ -116,15 +116,12 @@ type tally struct {
 // observe runs once per response on the driver goroutine, between a
 // request completing and the next being issued — measurement overhead that
 // must not pollute the latencies it records.
-//
-//deepbat:hotpath
 func (t *tally) observe(resp gateway.Response, sloMS float64) {
 	if resp.Error != "" {
 		t.failed++
 		return
 	}
 	t.served++
-	//lint:allow hotpath-alloc amortized growth of the per-run latency sample; doubling keeps steady-state appends in-capacity
 	t.latMS = append(t.latMS, resp.LatencyMS)
 	if sloMS <= 0 || resp.LatencyMS <= sloMS {
 		t.good++

@@ -168,8 +168,6 @@ func (s *Simulator) searchByScore(arrivals []float64, grid lambda.Grid, configs 
 // totalCosts forms the (batchSize, timeoutS) partition of arrivals and sums
 // each memory size's invocation costs over it into totals, in dispatch order
 // like Run's TotalCost.
-//
-//deepbat:hotpath
 func totalCosts(arrivals []float64, batchSize int, timeoutS float64, tabs []sizeTable, totals []float64) {
 	clear(totals)
 	for i := 0; i < len(arrivals); {
@@ -184,8 +182,6 @@ func totalCosts(arrivals []float64, batchSize int, timeoutS float64, tabs []size
 // latencies writes every request's latency under (batchSize, timeoutS) into
 // lat, svc being the memory size's service time by batch size: Run's float
 // operations in Run's order, minus the bookkeeping.
-//
-//deepbat:hotpath
 func latencies(arrivals []float64, batchSize int, timeoutS float64, svc, lat []float64) {
 	for i := 0; i < len(arrivals); {
 		j, dispatch := formBatch(arrivals, i, batchSize, timeoutS)

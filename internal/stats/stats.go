@@ -165,8 +165,6 @@ func interpolate(a, b float64, same bool, frac float64) float64 {
 // PercentileSelect returns exactly what Percentile returns, but finds the two
 // order statistics by selection in xs itself: it REORDERS xs, allocates
 // nothing, and runs in linear expected time instead of sorting a copy.
-//
-//deepbat:hotpath
 func PercentileSelect(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty

@@ -308,8 +308,6 @@ func (w *weights) encodeFloats(l int) int {
 // encode runs the sequence branch (EncodeSequence's tape-free twin) on an
 // already standardized window x and returns the (dim) encoding, which lives
 // in ws.
-//
-//deepbat:hotpath
 func (w *weights) encode(ws *workspace, x []float64, postAttention bool) []float64 {
 	l, d := len(x), w.dim
 	e := ws.take(l * d)
@@ -360,8 +358,6 @@ func (w *weights) features(ws *workspace, dst, feats []float64, n int) {
 // headRows runs the feature branch and output head over n rows, each with
 // its own encoding (e1, n×dim) and standardized features (feats, n×3), and
 // returns the n×OutputDim scaled outputs, which live in ws.
-//
-//deepbat:hotpath
 func (w *weights) headRows(ws *workspace, e1, feats []float64, n int) []float64 {
 	e2 := ws.take(n * w.dim)
 	w.features(ws, e2, feats, n)
@@ -418,8 +414,6 @@ func (c *compiled) sweeps(cfgs []lambda.Config, norm *Normalization) bool {
 // headGrid runs the output head for one encoding against every cached
 // candidate row: the e1 half of the hidden product is the same for all of
 // them, so it is computed once and each row's accumulators start from it.
-//
-//deepbat:hotpath
 func (c *compiled) headGrid(ws *workspace, e1 []float64) []float64 {
 	k, hidden := len(c.cfgs), c.outTop.out
 	part := ws.take(hidden)

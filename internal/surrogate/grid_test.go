@@ -149,10 +149,11 @@ func TestEvalBatchedMatchesPerSample(t *testing.T) {
 	}
 }
 
-// TestPredictGridAllocBudget guards the compiled path's allocation profile:
-// a steady-state sweep over the default 216-candidate grid allocates the two
+// TestPredictGridAllocBudget guards the compiled path's allocation profile.
+// A steady-state sweep over the default 216-candidate grid allocates the two
 // slices it returns (predictions and their percentile backing) and nothing
-// else — the arena is pooled and the snapshot is reused.
+// else — the arena is pooled and the snapshot is reused. A single Predict,
+// which runs the compiled headRows, allocates only its percentile slice.
 func TestPredictGridAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc budget is not meaningful")
@@ -160,13 +161,22 @@ func TestPredictGridAllocBudget(t *testing.T) {
 	m := NewModel(tinyModelConfig())
 	seq := randomWindow(rand.New(rand.NewSource(2)), m.Cfg.SeqLen)
 	cfgs := lambda.DefaultGrid().Configs()
-	m.PredictGrid(seq, cfgs) // compile, cache the grid's feature rows, size the arena
-	allocs := testing.AllocsPerRun(5, func() {
-		m.PredictGrid(seq, cfgs)
-	})
-	const budget = 4
-	if allocs > budget {
-		t.Fatalf("PredictGrid allocates %.0f/op over %d candidates, budget %d", allocs, len(cfgs), budget)
+	cases := []struct {
+		name   string
+		run    func()
+		budget float64
+	}{
+		{"PredictGrid", func() { m.PredictGrid(seq, cfgs) }, 4},
+		{"Predict", func() { m.Predict(seq, cfgs[0]) }, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.run() // compile, cache the grid's feature rows, size the arena
+			allocs := testing.AllocsPerRun(5, c.run)
+			if allocs > c.budget {
+				t.Fatalf("%s allocates %.0f/op, budget %.0f", c.name, allocs, c.budget)
+			}
+		})
 	}
 }
 

@@ -162,8 +162,6 @@ type runner struct {
 // exhausted or a cell has failed. The loop itself performs no heap
 // allocation — cells, errors, and results all live in pre-sized slices — so
 // sweep overhead stays flat no matter how many cells a sweep has.
-//
-//deepbat:hotpath
 func (r *runner) drain() {
 	for {
 		i := int(r.next.Add(1)) - 1
@@ -175,10 +173,7 @@ func (r *runner) drain() {
 }
 
 // runCell executes one cell, capturing a panic as that cell's error.
-//
-//deepbat:hotpath
 func (r *runner) runCell(i int) {
-	//lint:allow hotpath-alloc the recover path allocates a PanicError and stack copy only when a cell has already crashed
 	defer r.capture(i)
 	if err := r.fn(&r.cells[i]); err != nil {
 		r.errs[i] = err

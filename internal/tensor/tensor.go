@@ -435,7 +435,6 @@ func getPackBuf(n int) *[]float64 {
 			return buf
 		}
 	}
-	//lint:allow hotpath-alloc pack-buffer pool miss: first large product per size class allocates, sync.Pool reuses thereafter
 	buf := make([]float64, n)
 	return &buf
 }
