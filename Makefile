@@ -8,9 +8,9 @@ GO ?= go
 # buffers are shared by concurrently training replicas), data-parallel
 # training, sweep-parallel dataset labelling and the compiled
 # inference snapshot shared by concurrent sweeps, the optimizer (whose
-# isolation test trains one model while another goroutine decides on a
-# second), the analytical baseline (whose per-configuration analysis runs
-# as sweep cells), the gateway (whose
+# isolation test trains one model while another goroutine decides on, and
+# reads the attention maps of, a second), the analytical baseline (whose
+# per-configuration analysis runs as sweep cells), the gateway (whose
 # batch-timeout flusher, timed-out batches and control loop run on their own
 # goroutines under test, and
 # which pools waiters across shard mutexes and a lock-free exchange slot), the
@@ -23,8 +23,9 @@ GO ?= go
 # qsim grid search (which fans out over sweep workers), the fleet layer
 # (whose per-group gateways, tuner ticker, and demultiplexing front door
 # all run concurrent goroutines), and the experiments lab (whose
-# cell-parallel figures must stay invariant under the detector's
-# scheduling perturbation).
+# cell-parallel figures — training cells and fig14's shared-model cells
+# among them — must stay invariant under the detector's scheduling
+# perturbation).
 RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/optimizer/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
 
 # Per-package coverage floors enforced by `make cover` (see the cover target).
@@ -107,12 +108,16 @@ replay-smoke:
 ## sweep-smoke: CI check for the deterministic parallel sweep engine — run
 ## the cell-parallel scenarios experiment at 1 and 4 workers and assert the
 ## rendered report AND the merged per-cell metric snapshot are
-## byte-identical, then do the same for a parallel replay shard sweep.
+## byte-identical, then the same for fig14 (cells sharing one trained model)
+## and for a parallel replay shard sweep.
 sweep-smoke:
 	$(GO) run ./cmd/experiments -exp scenarios -quick -workers 1 -metrics /tmp/sweep-smoke.m1.json | grep -v 'finished in' > /tmp/sweep-smoke.r1.txt
 	$(GO) run ./cmd/experiments -exp scenarios -quick -workers 4 -metrics /tmp/sweep-smoke.m4.json | grep -v 'finished in' > /tmp/sweep-smoke.r4.txt
 	cmp /tmp/sweep-smoke.r1.txt /tmp/sweep-smoke.r4.txt
 	cmp /tmp/sweep-smoke.m1.json /tmp/sweep-smoke.m4.json
+	$(GO) run ./cmd/experiments -exp fig14 -quick -workers 1 | grep -v 'finished in' > /tmp/sweep-smoke.f1.txt
+	$(GO) run ./cmd/experiments -exp fig14 -quick -workers 4 | grep -v 'finished in' > /tmp/sweep-smoke.f4.txt
+	cmp /tmp/sweep-smoke.f1.txt /tmp/sweep-smoke.f4.txt
 	$(GO) run ./cmd/replay -name azure -hours 2 -hour-seconds 30 -sweep 1,2,4 -workers 1 -metrics /tmp/sweep-smoke.rm1.json > /tmp/sweep-smoke.rr1.txt
 	$(GO) run ./cmd/replay -name azure -hours 2 -hour-seconds 30 -sweep 1,2,4 -workers 4 -metrics /tmp/sweep-smoke.rm4.json > /tmp/sweep-smoke.rr4.txt
 	cmp /tmp/sweep-smoke.rr1.txt /tmp/sweep-smoke.rr4.txt

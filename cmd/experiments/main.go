@@ -26,7 +26,7 @@ func main() {
 	hours := flag.Int("hours", 0, "override lab hours")
 	hourSeconds := flag.Float64("hour-seconds", 0, "override seconds per paper-hour")
 	seed := flag.Int64("seed", 0, "override lab seed")
-	workers := flag.Int("workers", 0, "sweep fan-out workers for cell-parallel experiments (0 = GOMAXPROCS; output is identical at any count)")
+	workers := flag.Int("workers", 0, "sweep fan-out workers for cell-parallel experiments (0 = GOMAXPROCS; output is identical at any count except the wall-clock columns: fig15a time_per_sequence, ablations time_per_decision, timing)")
 	metricsOut := flag.String("metrics", "", "write the merged per-cell metric snapshot (JSON) to this file")
 	flag.Parse()
 

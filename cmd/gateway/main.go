@@ -137,7 +137,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer gw.Close()
+	defer gw.Stop()
 
 	if *demo {
 		runDemo(gw, *demoRate, *demoDur)
@@ -197,7 +197,7 @@ func runFleet(planPath, addr string, decideEvery time.Duration, timeScale float6
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	handler := http.Handler(f.Handler())
 	if withPprof {
 		mux := http.NewServeMux()

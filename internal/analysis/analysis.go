@@ -1,19 +1,16 @@
 // Package analysis implements deepbatlint, the repo-specific static-analysis
 // pass that machine-checks the invariants the reproduction depends on:
-// bit-determinism of the numeric core, tape-free inference, exact-float
-// hygiene, goroutine join discipline, and silence of library packages. It is
-// built entirely on the standard library (go/parser, go/ast, go/types) —
-// honoring the repo's stdlib-only rule — and is driven by cmd/lint, which is
-// wired into `make lint` / `make verify`.
+// bit-determinism of the numeric core, exact-float hygiene, goroutine join
+// discipline, and silence of library packages. It is built entirely on the
+// standard library (go/parser, go/ast, go/types) — honoring the repo's
+// stdlib-only rule — and is driven by cmd/lint, which is wired into
+// `make lint` / `make verify`.
 //
 // Rules (see DESIGN.md "Enforced invariants" for the rationale):
 //
 //   - determinism: no wall-clock reads or global math/rand in the numeric
 //     core packages (tensor, nn, opt, surrogate, qsim, trace, arrival,
 //     stats, batchopt).
-//   - nograd-hygiene: no autograd-tape-building tensor operation reachable
-//     from a function annotated `//deepbat:nograd` outside a tensor.NoGrad
-//     scope.
 //   - floatcompare: no ==/!= between floating-point operands outside
 //     approved tolerance helpers (comparison against an exact constant zero
 //     is permitted — it guards divisions, not numeric equality).
@@ -28,9 +25,10 @@
 //     duplicate registration must error, not crash the process.
 //
 // Each rule is the only guard for its hazard. Allocation-free serving, pool
-// hygiene and lock/atomic discipline are guarded by running code instead —
-// AllocsPerRun budget tests, the poolcheck build tag, `go vet` copylocks
-// and typed sync/atomic values (DESIGN.md "Retired rules").
+// hygiene, lock/atomic discipline and tape-free inference are guarded by
+// running code instead — AllocsPerRun budget tests, the poolcheck build tag,
+// `go vet` copylocks and typed sync/atomic values — or by the hazard being
+// gone (DESIGN.md "Retired rules").
 //
 // Deliberate exceptions are documented in the source with
 //
@@ -74,17 +72,13 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Program is the full set of packages loaded for one lint run, plus the
-// indexes analyzers share (function declarations across the whole module).
-// A Program is loaded and type-checked once and then shared by every rule
-// in the run — rules must not re-parse (see LoadModule / LoadDirs).
+// Program is the full set of packages loaded for one lint run. A Program is
+// loaded and type-checked once and then shared by every rule in the run —
+// rules must not re-parse (see LoadModule / LoadDirs).
 type Program struct {
 	Fset     *token.FileSet
 	Module   string // module path from go.mod
 	Packages []*Package
-
-	decls   map[*types.Func]*ast.FuncDecl
-	declPkg map[*types.Func]*Package
 
 	// allows is the parsed //lint:allow suppression set, built once per
 	// program by buildAllows (Run does it).
@@ -94,8 +88,7 @@ type Program struct {
 }
 
 // Analyzer is one lint rule. Analyze is called once per loaded package and
-// may consult the whole Program (the nograd-hygiene rule walks the
-// module-wide call graph).
+// may consult the whole Program.
 type Analyzer interface {
 	Name() string
 	Analyze(prog *Program, pkg *Package) []Finding
@@ -105,31 +98,10 @@ type Analyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		&Determinism{},
-		&NoGrad{},
 		&FloatCompare{},
 		&Goroutine{},
 		&NoPrint{},
 		&ObsRegister{},
-	}
-}
-
-// buildIndexes populates the cross-package function-declaration maps.
-func (p *Program) buildIndexes() {
-	p.decls = make(map[*types.Func]*ast.FuncDecl)
-	p.declPkg = make(map[*types.Func]*Package)
-	for _, pkg := range p.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Name == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					p.decls[fn] = fd
-					p.declPkg[fn] = pkg
-				}
-			}
-		}
 	}
 }
 
@@ -142,8 +114,7 @@ func (p *Program) inLibraryScope(pkg *Package) bool {
 
 // calleeFunc resolves the static callee of a call expression, or nil when
 // the callee is not a plain function or method (conversion, func value,
-// builtin, interface method lookup still yields the interface *types.Func —
-// callers that need a body must look it up in Program.decls).
+// builtin; an interface method call yields the interface's *types.Func).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -168,20 +139,6 @@ func (pkg *Package) hasFileDirective(directive string) bool {
 					return true
 				}
 			}
-		}
-	}
-	return false
-}
-
-// funcHasAnnotation reports whether the declaration's doc comment carries
-// the given directive (e.g. "deepbat:nograd").
-func funcHasAnnotation(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == directive {
-			return true
 		}
 	}
 	return false

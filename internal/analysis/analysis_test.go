@@ -110,7 +110,7 @@ func sortedKeys(es []expectation) []string {
 func TestFixtures(t *testing.T) {
 	root := moduleRoot(t)
 	fixtures := []string{
-		"determinism", "nograd", "floatcompare", "goroutine", "noprint",
+		"determinism", "floatcompare", "goroutine", "noprint",
 		"obsregister", "badallow",
 	}
 	for _, name := range fixtures {

@@ -242,6 +242,5 @@ func LoadDirs(root string, dirs []string) (*Program, error) {
 		}
 		prog.Packages = append(prog.Packages, pkg)
 	}
-	prog.buildIndexes()
 	return prog, nil
 }

@@ -46,11 +46,10 @@ func Ablations(l *Lab) (*Report, error) {
 		},
 	}
 
-	// One serial sweep cell per variant (training holds the process-global
-	// grad mode, so the engine runs these on one worker); rows assemble from
-	// the cells in variant order.
+	// One sweep cell per variant; rows assemble from the cells in variant
+	// order.
 	models := make([]trained, len(variants))
-	if err := l.sweepSerial(len(variants), func(c *sweep.Cell) error {
+	if err := l.sweep(len(variants), func(c *sweep.Cell) error {
 		v := variants[c.Index]
 		m, val, err := l.trainVariant(v.mutate, v.train)
 		if err != nil {

@@ -163,8 +163,8 @@ func Fig14(l *Lab) (*Report, error) {
 		corr, overlap float64
 	}
 	outs := make([]fig14Out, len(names))
-	// AttentionScores is pure no-grad inference on the shared base model, so
-	// each trace is one parallel cell.
+	// AttentionScores only reads the shared base model, so each trace is one
+	// parallel cell.
 	if err := l.sweep(len(names), func(c *sweep.Cell) error {
 		windows := testWindows(l, names[c.Index], base.Model.Cfg.SeqLen, 20)
 		var corrs, overlaps []float64

@@ -41,9 +41,9 @@ type LabConfig struct {
 	Grid            lambda.Grid
 	// Workers bounds each experiment's parallel fan-out through
 	// internal/sweep (0 = GOMAXPROCS, 1 = serial). Reports are byte-identical
-	// at every value: cells replay/simulate in isolation and merge in cell
-	// order. Training-bound cells ignore it and run serially — grad mode is
-	// a process-global scope (see tensor.NoGrad).
+	// at every value — cells train, replay or simulate in isolation and merge
+	// in cell order — except for wall-clock columns (fig15a
+	// time_per_sequence, ablations time_per_decision, timing).
 	Workers int
 }
 
@@ -119,15 +119,6 @@ func (l *Lab) sweep(n int, fn func(c *sweep.Cell) error) error {
 	return sweep.Run(sweep.Options{Workers: l.Cfg.Workers, Seed: l.Cfg.Seed, Obs: l.Obs}, n, fn)
 }
 
-// sweepSerial runs n cells through the engine pinned to one worker. It is
-// the required shape for cells that train models: tensor's grad mode is a
-// process-global scope, so grad-mode training may never overlap another
-// cell's no-grad evaluation. The cells still get per-cell seeds, isolated
-// registries, and panic capture.
-func (l *Lab) sweepSerial(n int, fn func(c *sweep.Cell) error) error {
-	return sweep.Run(sweep.Options{Workers: 1, Seed: l.Cfg.Seed, Obs: l.Obs}, n, fn)
-}
-
 // replayKey names one cached closed-loop replay.
 type replayKey struct {
 	kind deciderKind
@@ -135,10 +126,10 @@ type replayKey struct {
 }
 
 // warmReplays fills the lab's replay cache for one trace in parallel: the
-// systems each key needs are trained first (serially — training holds the
-// process-global grad mode), then the replays themselves, which are pure
-// inference and simulation, fan out as sweep cells. Callers then assemble
-// tables from the warm cache in their own deterministic order.
+// systems each key needs are trained first, once each (the lab caches them,
+// and two cells must not both train the same system), then the replays
+// themselves fan out as sweep cells. Callers then assemble tables from the
+// warm cache in their own deterministic order.
 func (l *Lab) warmReplays(traceName string, keys []replayKey) error {
 	for _, k := range keys {
 		if k.kind == kindDeepBAT && (traceName == "alibaba" || traceName == "synthetic") {

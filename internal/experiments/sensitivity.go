@@ -20,13 +20,11 @@ type trained struct {
 	val *surrogate.Dataset
 }
 
-// trainCells trains one surrogate variant per mutation through the sweep
-// engine. The fan-out is pinned serial (sweepSerial): grad mode is a
-// process-global scope, so two training cells may never overlap — but each
-// variant still runs as an isolated, panic-captured cell.
+// trainCells trains one surrogate variant per mutation, each an isolated,
+// panic-captured sweep cell.
 func (l *Lab) trainCells(mutations []func(*surrogate.ModelConfig)) ([]trained, error) {
 	out := make([]trained, len(mutations))
-	err := l.sweepSerial(len(mutations), func(c *sweep.Cell) error {
+	err := l.sweep(len(mutations), func(c *sweep.Cell) error {
 		m, val, err := l.trainFor(mutations[c.Index])
 		if err != nil {
 			return err

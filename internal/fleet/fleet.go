@@ -297,9 +297,6 @@ func (f *Fleet) Stop() {
 	}
 }
 
-// Close is an alias for Stop.
-func (f *Fleet) Close() { f.Stop() }
-
 // GroupStats pairs one group's identity with its gateway stats.
 type GroupStats struct {
 	Classes []string      `json:"classes"`

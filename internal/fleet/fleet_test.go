@@ -29,7 +29,7 @@ func TestFleetAccessorsAndRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	if f.Classes() != 2 || f.Groups() != 2 {
 		t.Fatalf("classes=%d groups=%d, want 2/2", f.Classes(), f.Groups())
 	}
@@ -69,7 +69,7 @@ func TestFleetApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	next := *f.Assignment()
 	next.Groups = append([]fleet.Group(nil), next.Groups...)
 	next.Groups[0].Config = lambda.Config{MemoryMB: 3008, BatchSize: 4, TimeoutS: 0.05}
@@ -108,7 +108,7 @@ func TestFleetTunerDecideNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	// Feed the tuner a steady window, then force a decision: the grid search
 	// must move the group off the deliberately bad initial config.
 	for i := 0; i < 40; i++ {
@@ -168,7 +168,7 @@ func TestFleetVirtualFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	h := f.Submit(0)
 	d, ok := f.NextFlushDeadline()
 	if !ok {
@@ -192,7 +192,7 @@ func TestFleetHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 
@@ -308,7 +308,7 @@ func TestInferErrorStatusesBothDoors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	gw := func(res gateway.Resilience) http.Handler {
 		g, err := gateway.New(stallingBackend{clock}, nil, gateway.Config{
 			Initial: one.Config(), Clock: clock, VirtualTimers: true, Resilience: res, Shards: 1,
@@ -316,7 +316,7 @@ func TestInferErrorStatusesBothDoors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(g.Close)
+		t.Cleanup(g.Stop)
 		return g.Handler()
 	}
 	for _, tc := range []struct {
@@ -350,7 +350,7 @@ func TestFleetSingleClassHandlerDefaultsClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/infer", "application/json", nil)
@@ -371,7 +371,7 @@ func TestFleetTuneEveryPeriodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.Stop()
 	if resp := f.Do(0); resp.Error != "" {
 		t.Fatalf("serve under TuneEvery: %v", resp.Error)
 	}

@@ -492,9 +492,6 @@ func (g *Gateway) Stop() {
 	g.rec.Event("stop", obs.I("served", served))
 }
 
-// Close is an alias for Stop, kept for io.Closer-style call sites.
-func (g *Gateway) Close() { g.Stop() }
-
 // Obs returns the gateway's metric registry (for embedding in a larger
 // exposition page or asserting on in tests).
 func (g *Gateway) Obs() *obs.Registry { return g.obs }

@@ -62,7 +62,7 @@ func TestSingleRequestFlushedByTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
@@ -91,7 +91,7 @@ func TestBatchFillsByCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
@@ -126,7 +126,7 @@ func TestImmediateDispatchWithBatchOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	start := time.Now()
@@ -147,7 +147,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	for i := 0; i < 3; i++ {
@@ -190,7 +190,7 @@ func TestInferRejectsGET(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/infer")
@@ -222,7 +222,7 @@ func TestControlLoopReconfigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	// Generate enough arrivals to fill the parser window.
@@ -250,14 +250,14 @@ func TestCloseFlushesPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := g.Submit()
-	g.Close()
+	g.Stop()
 	// Close delivered the flush synchronously; a Close that skipped the
 	// pending request would hang here until the test timeout.
 	if resp := h.Wait(); resp.BatchSize != 1 {
 		t.Fatalf("flushed batch size = %d", resp.BatchSize)
 	}
 	// Double close is safe.
-	g.Close()
+	g.Stop()
 }
 
 func TestConcurrentLoad(t *testing.T) {
@@ -268,7 +268,7 @@ func TestConcurrentLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	const n = 64
@@ -302,7 +302,7 @@ func TestFlushTimeoutOnEmptyQueueCountsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer g.Stop()
 	if _, ok := g.takeDue(math.Inf(1), func(*shard, []*waiter, *activeCfg) {
 		t.Fatal("takeDue handed on a batch from an empty gateway")
 	}); ok {

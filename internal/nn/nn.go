@@ -255,14 +255,6 @@ type MultiHeadAttention struct {
 	headDim    int
 	Wq, Wk, Wv *Linear
 	Wo         *Linear
-
-	// lastScores stores the most recent post-softmax attention weights,
-	// one (lq × lk) tensor per head, for the paper's Fig. 14 attention-score
-	// visualization. It is overwritten on every Forward call.
-	lastScores []*tensor.Tensor
-	// captureScores forces score recording even under NoGrad (see
-	// SetCaptureScores).
-	captureScores bool
 }
 
 // NewMultiHeadAttention builds an attention block; dim must be divisible by
@@ -280,37 +272,39 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 	}
 }
 
-// Forward computes attention of query q (lq × dim) against keys/values
-// k, v (lk × dim). mask, if non-nil, is an additive (lq × lk) bias applied to
-// the attention logits (use large negative values to mask positions out).
-func (m *MultiHeadAttention) Forward(q, k, v, mask *tensor.Tensor) *tensor.Tensor {
+// Scores returns the post-softmax attention weights of query q (lq × dim)
+// against keys k (lk × dim), one (lq × lk) tensor per head: softmax(Q_i
+// K_i^T/√d_h + mask). mask, if non-nil, is an additive (lq × lk) bias applied
+// to the logits (use large negative values to mask positions out). Scores
+// reads the module and mutates nothing, so any number of goroutines may call
+// it on one module; Forward computes its attention weights through it, which
+// makes these the exact maps a forward pass applies (the paper's Fig. 14).
+func (m *MultiHeadAttention) Scores(q, k, mask *tensor.Tensor) []*tensor.Tensor {
 	qp := m.Wq.Forward(q)
 	kp := m.Wk.Forward(k)
-	vp := m.Wv.Forward(v)
 	scale := 1 / math.Sqrt(float64(m.headDim))
-
-	// Recording the attention maps mutates the module, which would race when
-	// many no-grad inference goroutines share one model; skip it there unless
-	// a single-goroutine caller opted in with SetCaptureScores.
-	record := tensor.GradEnabled() || m.captureScores
-	if record {
-		m.lastScores = m.lastScores[:0]
-	}
-	var heads *tensor.Tensor
-	for h := 0; h < m.Heads; h++ {
+	scores := make([]*tensor.Tensor, m.Heads)
+	for h := range scores {
 		off := h * m.headDim
 		qh := tensor.NarrowCols(qp, off, m.headDim)
 		kh := tensor.NarrowCols(kp, off, m.headDim)
-		vh := tensor.NarrowCols(vp, off, m.headDim)
 		logits := tensor.Scale(tensor.MatMul(qh, tensor.Transpose(kh)), scale)
 		if mask != nil {
 			logits = tensor.Add(logits, mask)
 		}
-		att := tensor.Softmax(logits)
-		if record {
-			m.lastScores = append(m.lastScores, att)
-		}
-		out := tensor.MatMul(att, vh)
+		scores[h] = tensor.Softmax(logits)
+	}
+	return scores
+}
+
+// Forward computes attention of query q (lq × dim) against keys/values
+// k, v (lk × dim), with the optional additive logit mask of Scores.
+func (m *MultiHeadAttention) Forward(q, k, v, mask *tensor.Tensor) *tensor.Tensor {
+	scores := m.Scores(q, k, mask)
+	vp := m.Wv.Forward(v)
+	var heads *tensor.Tensor
+	for h, att := range scores {
+		out := tensor.MatMul(att, tensor.NarrowCols(vp, h*m.headDim, m.headDim))
 		if heads == nil {
 			heads = out
 		} else {
@@ -320,26 +314,12 @@ func (m *MultiHeadAttention) Forward(q, k, v, mask *tensor.Tensor) *tensor.Tenso
 	return m.Wo.Forward(heads)
 }
 
-// LastScores returns the post-softmax attention matrices (one per head) from
-// the most recent Forward call. The returned tensors are owned by the tape;
-// callers should copy the data if they need to keep it.
-func (m *MultiHeadAttention) LastScores() []*tensor.Tensor { return m.lastScores }
-
-// SetCaptureScores toggles attention-map recording for tape-free forwards.
-// Scores are always recorded in grad mode; under NoGrad they are skipped by
-// default because recording mutates the module, which would race across
-// concurrent inference goroutines. A single-goroutine caller that wants the
-// maps without building a tape (AttentionScores) sets the flag around its
-// forward pass and clears it afterwards.
-func (m *MultiHeadAttention) SetCaptureScores(on bool) { m.captureScores = on }
-
 // Params implements Module.
 func (m *MultiHeadAttention) Params() []*tensor.Tensor {
 	return CollectParams(m.Wq, m.Wk, m.Wv, m.Wo)
 }
 
-// Replicate returns a weight-sharing copy with private gradients and its own
-// attention-score scratch state.
+// Replicate returns a weight-sharing copy with private gradients.
 func (m *MultiHeadAttention) Replicate() *MultiHeadAttention {
 	return &MultiHeadAttention{
 		Dim: m.Dim, Heads: m.Heads, headDim: m.headDim,

@@ -158,9 +158,9 @@ func TestMultiHeadAttentionShapes(t *testing.T) {
 	if y.Rows() != 5 || y.Cols() != 8 {
 		t.Fatalf("MHA output shape = %v", y.Shape)
 	}
-	scores := m.LastScores()
+	scores := m.Scores(x, x, nil)
 	if len(scores) != 2 {
-		t.Fatalf("LastScores heads = %d", len(scores))
+		t.Fatalf("Scores heads = %d", len(scores))
 	}
 	for _, s := range scores {
 		if s.Rows() != 5 || s.Cols() != 5 {
@@ -187,8 +187,7 @@ func TestMultiHeadAttentionMask(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		mask.Set(r, 2, -1e9)
 	}
-	m.Forward(x, x, x, mask)
-	s := m.LastScores()[0]
+	s := m.Scores(x, x, mask)[0]
 	for r := 0; r < 3; r++ {
 		if s.At(r, 2) > 1e-6 {
 			t.Fatalf("masked position received attention %v", s.At(r, 2))
@@ -205,7 +204,7 @@ func TestMultiHeadAttentionCross(t *testing.T) {
 	if y.Rows() != 1 || y.Cols() != 4 {
 		t.Fatalf("cross-attention shape = %v", y.Shape)
 	}
-	if s := m.LastScores()[0]; s.Rows() != 1 || s.Cols() != 6 {
+	if s := m.Scores(q, kv, nil)[0]; s.Rows() != 1 || s.Cols() != 6 {
 		t.Fatalf("cross score shape = %v", s.Shape)
 	}
 }
@@ -380,39 +379,44 @@ func TestDropoutReplicateAndSetRNG(t *testing.T) {
 	}
 }
 
-func TestMultiHeadAttentionSkipsScoreRecordingUnderNoGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	m := NewMultiHeadAttention(rng, 4, 2)
-	x := tensor.Randn(rng, 1, 3, 4)
-	m.Forward(x, x, x, nil)
-	if len(m.LastScores()) != 2 {
-		t.Fatalf("grad-mode forward should record scores, got %d", len(m.LastScores()))
-	}
-	tensor.NoGrad(func() { m.Forward(x, x, x, nil) })
-	if len(m.LastScores()) != 2 {
-		t.Fatal("no-grad forward must not touch recorded scores")
-	}
-}
-
-// TestSetCaptureScoresRecordsUnderNoGrad checks that attention maps are
-// recorded tape-free only when explicitly requested.
-func TestSetCaptureScoresRecordsUnderNoGrad(t *testing.T) {
+// TestScoresAreTheMapsForwardApplies rebuilds Forward from Scores —
+// Wo(concat_h(Scores_h · V_h)) — and requires it bit for bit, with and without
+// a mask, so the maps Scores returns are the ones a forward pass uses.
+// Scores must also leave the module untouched: a second call returns the same
+// bits.
+func TestScoresAreTheMapsForwardApplies(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	att := NewMultiHeadAttention(rng, 8, 2)
-	x := tensor.Randn(rng, 1, 4, 8)
-
-	tensor.NoGrad(func() {
-		att.Forward(x, x, x, nil)
-	})
-	if got := att.LastScores(); len(got) != 0 {
-		t.Fatalf("NoGrad forward recorded %d score maps without capture", len(got))
-	}
-	tensor.NoGrad(func() {
-		att.SetCaptureScores(true)
-		defer att.SetCaptureScores(false)
-		att.Forward(x, x, x, nil)
-	})
-	if got := att.LastScores(); len(got) != 2 {
-		t.Fatalf("captured %d score maps, want 2", len(got))
+	m := NewMultiHeadAttention(rng, 8, 2)
+	q := tensor.Randn(rng, 1, 3, 8)
+	kv := tensor.Randn(rng, 1, 4, 8)
+	mask := tensor.New(3, 4)
+	mask.Set(1, 2, -1e9)
+	for _, mk := range []*tensor.Tensor{nil, mask} {
+		scores := m.Scores(q, kv, mk)
+		vp := m.Wv.Forward(kv)
+		var heads *tensor.Tensor
+		for h, att := range scores {
+			out := tensor.MatMul(att, tensor.NarrowCols(vp, h*m.headDim, m.headDim))
+			if heads == nil {
+				heads = out
+			} else {
+				heads = tensor.ConcatCols(heads, out)
+			}
+		}
+		want := m.Wo.Forward(heads)
+		got := m.Forward(q, kv, kv, mk)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("mask=%v: Forward[%d] = %v, rebuilt from Scores %v", mk != nil, i, got.Data[i], want.Data[i])
+			}
+		}
+		again := m.Scores(q, kv, mk)
+		for h := range scores {
+			for i := range scores[h].Data {
+				if math.Float64bits(again[h].Data[i]) != math.Float64bits(scores[h].Data[i]) {
+					t.Fatalf("mask=%v: second Scores call differs at head %d [%d]", mk != nil, h, i)
+				}
+			}
+		}
 	}
 }

@@ -100,10 +100,10 @@ func TestDecideAllocBudget(t *testing.T) {
 }
 
 // TestTrainIsolatedFromConcurrentDecide trains model A while another
-// goroutine hammers PredictGrid and Decide on model B, and requires A's
-// weights to come out bit-identical to an undisturbed run. It holds because
-// the read side never enters tensor.NoGrad, whose process-global switch would
-// drop A's tape mid-step (ROADMAP item 4); run under -race by `make race`.
+// goroutine hammers Decide, PredictGrid and AttentionScores on model B, and
+// requires A's weights to come out bit-identical to an undisturbed run. It
+// holds because no read path enters tensor.NoGrad, whose process-global
+// switch would drop A's tape mid-step; run under -race by `make race`.
 func TestTrainIsolatedFromConcurrentDecide(t *testing.T) {
 	grid := testGrid()
 	ds := buildDataset(t, grid, 48)
@@ -133,6 +133,7 @@ func TestTrainIsolatedFromConcurrentDecide(t *testing.T) {
 				return
 			}
 			b.PredictGrid(window(), cfgs)
+			b.AttentionScores(window())
 			if i == 0 {
 				close(started)
 			}

@@ -8,12 +8,10 @@ import (
 	"testing"
 
 	"deepbat/internal/lambda"
-	"deepbat/internal/tensor"
 )
 
 // tapePredict is the reference every compiled-path test compares against:
-// the autograd forward the training loop runs, decoded. It runs in grad mode
-// so the reference itself never touches the process-global NoGrad switch.
+// the autograd forward the training loop runs, decoded.
 func tapePredict(m *Model, seq []float64, cfg lambda.Config) Prediction {
 	return m.decode(m.Forward(seq, cfg).Data, cfg)
 }
@@ -99,14 +97,13 @@ func TestCompiledMatchesTape(t *testing.T) {
 					t.Fatalf("%s: no standardized input is exactly 0: %v", tag, x)
 				}
 				want := m.encodeTape(seq)
-				var got *tensor.Tensor
-				tensor.NoGrad(func() { got = m.EncodeSequence(seq) })
+				got := m.EncodeSequence(seq)
 				if len(got.Data) != len(want.Data) || got.Rows() != 1 {
-					t.Fatalf("%s: NoGrad EncodeSequence shape %v, tape %v", tag, got.Shape, want.Shape)
+					t.Fatalf("%s: EncodeSequence shape %v, tape %v", tag, got.Shape, want.Shape)
 				}
 				for i := range want.Data {
 					if !bitEqual(got.Data[i], want.Data[i]) {
-						t.Fatalf("%s: NoGrad EncodeSequence[%d] = %v, tape %v (bitwise)", tag, i, got.Data[i], want.Data[i])
+						t.Fatalf("%s: EncodeSequence[%d] = %v, tape %v (bitwise)", tag, i, got.Data[i], want.Data[i])
 					}
 				}
 			}

@@ -1,12 +1,13 @@
 package surrogate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"deepbat/internal/lambda"
-	"deepbat/internal/tensor"
 )
 
 // bitEqual reports whether two floats have identical bit patterns.
@@ -132,17 +133,15 @@ func TestEvalBatchedMatchesPerSample(t *testing.T) {
 		rows = append(rows, out[i*w:(i+1)*w])
 	}
 	var wantLoss float64
-	tensor.NoGrad(func() {
-		for i, s := range ds.Samples {
-			want := m.Forward(s.Seq, s.Config)
-			for j := range want.Data {
-				if !bitEqual(rows[i][j], want.Data[j]) {
-					t.Fatalf("sample %d output %d = %v vs %v (bitwise)", i, j, rows[i][j], want.Data[j])
-				}
+	for i, s := range ds.Samples {
+		want := m.Forward(s.Seq, s.Config)
+		for j := range want.Data {
+			if !bitEqual(rows[i][j], want.Data[j]) {
+				t.Fatalf("sample %d output %d = %v vs %v (bitwise)", i, j, rows[i][j], want.Data[j])
 			}
-			wantLoss += m.sampleLoss(s, tc).Item()
 		}
-	})
+		wantLoss += m.sampleLoss(s, tc).Item()
+	}
 	wantLoss /= float64(ds.Len())
 	if got := m.EvalLoss(ds, tc); !bitEqual(got, wantLoss) {
 		t.Fatalf("EvalLoss = %v, want %v (bitwise)", got, wantLoss)
@@ -154,6 +153,9 @@ func TestEvalBatchedMatchesPerSample(t *testing.T) {
 // slices it returns (predictions and their percentile backing) and nothing
 // else — the arena is pooled and the snapshot is reused. A single Predict,
 // which runs the compiled headRows, allocates only its percentile slice.
+// EvalMAPE over 24 samples (the compiled forwardRows) allocates its four
+// result slices plus the append growth of its two flat error vectors, 22 in
+// all; one tape forward per sample would cost hundreds per sample.
 func TestPredictGridAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc budget is not meaningful")
@@ -161,6 +163,7 @@ func TestPredictGridAllocBudget(t *testing.T) {
 	m := NewModel(tinyModelConfig())
 	seq := randomWindow(rand.New(rand.NewSource(2)), m.Cfg.SeqLen)
 	cfgs := lambda.DefaultGrid().Configs()
+	ds := tinyDataset(t, 24, m.Cfg.SeqLen)
 	cases := []struct {
 		name   string
 		run    func()
@@ -168,6 +171,7 @@ func TestPredictGridAllocBudget(t *testing.T) {
 	}{
 		{"PredictGrid", func() { m.PredictGrid(seq, cfgs) }, 4},
 		{"Predict", func() { m.Predict(seq, cfgs[0]) }, 1},
+		{"EvalMAPE", func() { m.EvalMAPE(ds) }, 22},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -180,17 +184,17 @@ func TestPredictGridAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAttentionScoresTapeFreeCapture checks that the NoGrad visualization
-// pass sees exactly the scores a grad-mode forward records.
+// TestAttentionScoresTapeFreeCapture holds AttentionScores to the first
+// encoder layer's Scores on the input the tape forward feeds that layer, bit
+// for bit, and checks that the call leaves no gradient on the model.
 func TestAttentionScoresTapeFreeCapture(t *testing.T) {
-	m := NewModel(tinyModelConfig())
+	m := variedModel(tinyModelConfig())
 	seq := randomWindow(rand.New(rand.NewSource(3)), 16)
 	got := m.AttentionScores(seq)
 
-	// Grad-mode reference: EncodeSequence records scores on the tape path.
-	m.EncodeSequence(seq)
+	x := m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
 	agg := make([]float64, len(seq))
-	for _, h := range m.enc.Layers[0].Att.LastScores() {
+	for _, h := range m.enc.Layers[0].Att.Scores(x, x, nil) {
 		for r := 0; r < h.Rows(); r++ {
 			for c := 0; c < h.Cols(); c++ {
 				agg[c] += h.At(r, c)
@@ -208,5 +212,49 @@ func TestAttentionScoresTapeFreeCapture(t *testing.T) {
 		if !bitEqual(got[i], agg[i]) {
 			t.Fatalf("score %d = %v, want %v (bitwise)", i, got[i], agg[i])
 		}
+	}
+	for i, p := range m.Params() {
+		for _, g := range p.Grad {
+			if g != 0 {
+				t.Fatalf("AttentionScores left a gradient on parameter %d", i)
+			}
+		}
+	}
+}
+
+// TestAttentionScoresConcurrent runs AttentionScores from 8 goroutines on one
+// model, each over several windows, and requires every result to match the
+// serial one bit for bit (run under -race by `make race`).
+func TestAttentionScoresConcurrent(t *testing.T) {
+	m := variedModel(tinyModelConfig())
+	rng := rand.New(rand.NewSource(4))
+	windows := make([][]float64, 6)
+	want := make([][]float64, len(windows))
+	for i := range windows {
+		windows[i] = randomWindow(rng, m.Cfg.SeqLen)
+		want[i] = m.AttentionScores(windows[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				i := (g + rep) % len(windows)
+				got := m.AttentionScores(windows[i])
+				for j := range got {
+					if !bitEqual(got[j], want[i][j]) {
+						errs <- fmt.Sprintf("goroutine %d window %d score %d = %v, serial %v", g, i, j, got[j], want[i][j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

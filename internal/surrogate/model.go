@@ -235,13 +235,10 @@ func (m *Model) normalizeFeaturesRow(dst []float64, cfg lambda.Config) {
 
 // EncodeSequence runs the sequence branch: embedding, positional encoding,
 // Transformer encoder, mean pooling, and the post-pooling multi-head
-// attention (E1 of Eq. 4). In grad mode the returned (1, d) tensor stays on
-// the tape for training; inside tensor.NoGrad it is a detached leaf computed
-// by the compiled encoder, bit-identical to the tape's values.
+// attention (E1 of Eq. 4). The returned (1, d) tensor is a detached leaf
+// computed by the compiled encoder, bit-identical to the tape forward that
+// training runs (Forward).
 func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
-	if tensor.GradEnabled() {
-		return m.encodeTape(seq)
-	}
 	c := m.compiled(nil)
 	ws := getWorkspace(c.encodeFloats(len(seq)))
 	e1 := tensor.FromData(append([]float64(nil), m.encode(c, ws, seq)...), 1, c.dim)
@@ -250,21 +247,24 @@ func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
 }
 
 // encodeTape is the sequence branch built from autograd ops: the training
-// path, the reference the compiled encoder is tested against, and (with
-// score capture) the Fig. 14 visualization.
+// path and the reference the compiled encoder is tested against.
 func (m *Model) encodeTape(seq []float64) *tensor.Tensor {
-	if len(seq) == 0 {
-		panic("surrogate: empty sequence")
-	}
-	x := m.normalizeSeq(seq)
-	e := m.embed.Forward(x)  // (l, d), Eq. 1
-	e = m.pos.Forward(e)     // + positional encoding
+	e := m.embedTape(seq)    // (l, d), Eq. 1 + positional encoding
 	e = m.enc.Forward(e)     // Eq. 2
 	ep := tensor.MeanRows(e) // mean pooling -> (1, d)
 	if m.Cfg.DisablePostAttention {
 		return ep
 	}
 	return m.postAtt.Forward(ep, ep, ep, nil) // Eq. 4
+}
+
+// embedTape standardizes seq and applies the embedding (Eq. 1) and the
+// positional encoding on autograd ops: the encoder's input.
+func (m *Model) embedTape(seq []float64) *tensor.Tensor {
+	if len(seq) == 0 {
+		panic("surrogate: empty sequence")
+	}
+	return m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
 }
 
 // encode standardizes seq and runs the compiled sequence branch; the
@@ -349,8 +349,6 @@ func (m *Model) decodeRows(out []float64, cfgs []lambda.Config, dst []Prediction
 
 // Predict runs one sequence/configuration pair on the compiled path and
 // returns physical-unit predictions.
-//
-//deepbat:nograd
 func (m *Model) Predict(seq []float64, cfg lambda.Config) Prediction {
 	c := m.compiled(nil)
 	ws := getWorkspace(c.encodeFloats(len(seq)) + 3 + c.headFloats(1))
@@ -370,8 +368,6 @@ func (m *Model) Predict(seq []float64, cfg lambda.Config) Prediction {
 // the head's hidden product is computed once for all K candidates; only the
 // two returned slices are allocated. Each output row is bit-identical to the
 // per-candidate Predict path and to the tape forward.
-//
-//deepbat:nograd
 func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
 	out := make([]Prediction, len(cfgs))
 	if len(cfgs) == 0 {
@@ -384,32 +380,27 @@ func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
 	return out
 }
 
-// AttentionScores runs the sequence branch and returns, per sequence
-// position, the aggregate attention received in the first encoder layer
-// (averaged over heads and query positions, normalized to sum to 1). This is
-// the quantity visualized in Fig. 14 of the paper.
+// AttentionScores returns, per sequence position, the aggregate attention
+// received in the first encoder layer (averaged over heads and query
+// positions, normalized to sum to 1). This is the quantity visualized in
+// Fig. 14 of the paper.
 //
-// The pass runs tape-free — visualization never backpropagates, and the old
-// grad-mode forward built (and leaked) a full autograd tape per call. Score
-// capture mutates the attention module, so AttentionScores must not run
-// concurrently with itself or other forwards on the same model.
-//
-//deepbat:nograd
+// Only the layer's input (embedding and positional encoding) and its
+// attention weights are computed, on the tape ops the training forward runs,
+// so the scores are bit-identical to the maps that forward applies. The call
+// mutates nothing — the graph nodes it builds are its own and die with it —
+// so any number of goroutines may call it on one model, beside inference on
+// that model and training on others.
 func (m *Model) AttentionScores(seq []float64) []float64 {
+	x := m.embedTape(seq)
 	agg := make([]float64, len(seq))
-	tensor.NoGrad(func() {
-		att := m.enc.Layers[0].Att
-		att.SetCaptureScores(true)
-		defer att.SetCaptureScores(false)
-		m.encodeTape(seq)
-		for _, h := range att.LastScores() {
-			for r := 0; r < h.Rows(); r++ {
-				for c := 0; c < h.Cols(); c++ {
-					agg[c] += h.At(r, c)
-				}
+	for _, h := range m.enc.Layers[0].Att.Scores(x, x, nil) {
+		for r := 0; r < h.Rows(); r++ {
+			for c := 0; c < h.Cols(); c++ {
+				agg[c] += h.At(r, c)
 			}
 		}
-	})
+	}
 	total := 0.0
 	for _, v := range agg {
 		total += v

@@ -328,8 +328,6 @@ func (m *Model) EvalLoss(d *Dataset, cfg TrainConfig) float64 {
 
 // predictAll runs compiled batched predictions for every sample, returning
 // them in sample order.
-//
-//deepbat:nograd
 func (m *Model) predictAll(d *Dataset) []Prediction {
 	preds := make([]Prediction, d.Len())
 	if d.Len() == 0 {
@@ -345,8 +343,6 @@ func (m *Model) predictAll(d *Dataset) []Prediction {
 
 // EvalMAPE returns the mean absolute percentage error (percent) of the
 // model's physical-unit predictions across every output of every sample.
-//
-//deepbat:nograd
 func (m *Model) EvalMAPE(d *Dataset) float64 {
 	all := m.predictAll(d)
 	var preds, truths []float64
@@ -364,8 +360,6 @@ func (m *Model) EvalMAPE(d *Dataset) float64 {
 
 // LatencyMAPE is EvalMAPE restricted to the latency percentile outputs
 // (the paper reports latency prediction MAPE in Fig. 13).
-//
-//deepbat:nograd
 func (m *Model) LatencyMAPE(d *Dataset) float64 {
 	all := m.predictAll(d)
 	var preds, truths []float64
@@ -385,8 +379,6 @@ func (m *Model) LatencyMAPE(d *Dataset) float64 {
 // optimizer from the winner's curse of picking configurations whose tail the
 // model happens to underpredict. pct must be one of the model's percentile
 // levels; unknown levels return 0.
-//
-//deepbat:nograd
 func (m *Model) UnderpredictionQuantile(d *Dataset, pct, q float64) float64 {
 	idx := -1
 	for i, lv := range m.Cfg.Percentiles {

@@ -156,23 +156,25 @@ func TestNoGradProducesLeaves(t *testing.T) {
 }
 
 func TestNoGradNestsAndRestores(t *testing.T) {
-	if !GradEnabled() {
-		t.Fatal("gradients should be enabled by default")
+	a := FromData([]float64{1, 2}, 2).RequireGrad()
+	records := func() bool { return Scale(a, 2).RequiresGrad() }
+	if !records() {
+		t.Fatal("gradients should be recorded by default")
 	}
 	NoGrad(func() {
-		if GradEnabled() {
-			t.Fatal("GradEnabled inside NoGrad")
+		if records() {
+			t.Fatal("gradients recorded inside NoGrad")
 		}
 		NoGrad(func() {
-			if GradEnabled() {
-				t.Fatal("GradEnabled inside nested NoGrad")
+			if records() {
+				t.Fatal("gradients recorded inside nested NoGrad")
 			}
 		})
-		if GradEnabled() {
+		if records() {
 			t.Fatal("inner scope exit re-enabled gradients too early")
 		}
 	})
-	if !GradEnabled() {
+	if !records() {
 		t.Fatal("gradients not restored after NoGrad")
 	}
 }

@@ -11,9 +11,16 @@
 // and a backward closure; calling Backward on a scalar result propagates
 // gradients through the recorded tape in reverse topological order.
 //
-// Inference-only code should run inside NoGrad, which suppresses tape
-// recording and gradient allocation entirely: forward values are unchanged
-// (bit-for-bit) but no parents, closures, or Grad buffers are created.
+// There is no tape object: the graph is the tensors' parent links. A forward
+// op only reads its inputs, so goroutines may build graphs over the same
+// parameters at once (only Backward writes, into Grad), and a graph nobody
+// holds is garbage.
+//
+// NoGrad suppresses parent and Grad recording process-wide; forward values
+// are unchanged (bit-for-bit). No library code calls it: the switch is
+// process-global, so a scope on one goroutine would strip the tape from a
+// training step on another. It is kept only for the repository benchmark's
+// two probes, which time the ops without the tape and run one at a time.
 package tensor
 
 import (
@@ -27,26 +34,19 @@ import (
 )
 
 // noGradDepth counts the currently active NoGrad scopes across all
-// goroutines. Gradients are recorded only while it is zero. A counter (rather
-// than a bool) lets concurrent inference goroutines nest and overlap NoGrad
-// scopes freely; mixing grad-mode training with no-grad inference at the same
-// instant is not supported (the training loop joins its workers before any
-// evaluation runs).
+// goroutines. Gradients are recorded only while it is zero.
 var noGradDepth atomic.Int32
 
 // NoGrad runs fn with tape recording disabled: every tensor produced inside
 // the scope is a leaf with no parents, no backward closure, and no Grad
-// buffer. Forward values are identical to grad mode. Scopes nest and may be
-// entered concurrently from multiple goroutines.
+// buffer. Forward values are identical to grad mode. Scopes nest. The scope
+// is process-wide — it also disables recording on every other goroutine —
+// so library code must not call it (see the package doc).
 func NoGrad(fn func()) {
 	noGradDepth.Add(1)
 	defer noGradDepth.Add(-1)
 	fn()
 }
-
-// GradEnabled reports whether operations currently record the tape (no
-// NoGrad scope is active).
-func GradEnabled() bool { return noGradDepth.Load() == 0 }
 
 // Tensor is a dense row-major float64 tensor with optional gradient storage.
 type Tensor struct {
