@@ -5,8 +5,9 @@ GO ?= go
 
 # RACE_PKGS covers the packages that exercise the concurrent code paths:
 # the serial tensor and blocked/packed gemm kernels (whose pooled pack
-# buffers are shared by concurrently training replicas), data-parallel
-# training, sweep-parallel dataset labelling and the compiled
+# buffers are shared across goroutines), the compiled training step's
+# sweep-cell minibatch shards (packed weights shared read-only, one arena
+# per cell), sweep-parallel dataset labelling and the compiled
 # inference snapshot shared by concurrent sweeps, the optimizer (whose
 # isolation test trains one model while another goroutine decides on, and
 # reads the attention maps of, a second), the analytical baseline (whose
@@ -42,8 +43,8 @@ COVER_FLOOR_FLEET   = 80
 ## labelling, Decide, the BATCH baseline's per-configuration fan-out, the
 ## grid search's partition fan-out and the planner above it, the replay
 ## driver whose waiters are resolved on whichever goroutine dispatches, the
-## fault layer under the chaos scenarios, and the tensor kernels the training
-## replicas share) again at GOMAXPROCS 1, 2 and 4. Every PR must leave this green.
+## fault layer under the chaos scenarios, and the tensor kernels) again at
+## GOMAXPROCS 1, 2 and 4. Every PR must leave this green.
 verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -87,11 +88,14 @@ loadgen-smoke:
 ## the tracev1 binary decoder (never panics, and anything it accepts must
 ## round-trip bit-identically); FuzzPlanValidate hammers the fleet plan
 ## codec (never panics, and any plan the canonical decoder accepts must
-## re-encode bit-identically).
+## re-encode bit-identically); FuzzTrainStepMatchesTape hammers the compiled
+## training step (a random tiny architecture, window, dropout and target must
+## give the tape's loss and gradients bit for bit).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzDecode -fuzztime=20s -run='^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzPlanValidate -fuzztime=20s -run='^$$' ./internal/fleet
+	$(GO) test -fuzz=FuzzTrainStepMatchesTape -fuzztime=20s -run='^$$' ./internal/surrogate
 
 ## replay-smoke: CI check for the workload-zoo replay path — generate a
 ## small azure tracev1 (digest-verified), replay it twice through the real

@@ -138,8 +138,9 @@ type System struct {
 // NewModel builds a fresh (untrained) surrogate with the given architecture.
 // Fit normalization and train it yourself (Model.FitNormalization,
 // Model.Train) when constructing datasets outside BuildDataset; Train
-// shards each minibatch across TrainConfig.Workers goroutines (0 =
-// GOMAXPROCS) with bit-deterministic results for a fixed seed.
+// runs a compiled training step and shards each minibatch across
+// TrainConfig.Workers sweep cells (0 = GOMAXPROCS), with bit-deterministic
+// results for a fixed seed.
 func NewModel(cfg ModelConfig) *Model { return surrogate.NewModel(cfg) }
 
 // NewSystem wraps an existing (e.g. loaded) model.

@@ -70,12 +70,17 @@ func SampleWeight(target []float64, slo float64, cfg Config) float64 {
 // entries keep weight 1. Combine with SampleWeight for the sample-level
 // penalty.
 func SLOWeights(target []float64, slo float64, cfg Config) []float64 {
-	w := make([]float64, len(target))
-	for i := range w {
-		w[i] = 1
+	return SLOWeightsInto(make([]float64, len(target)), target, slo, cfg)
+}
+
+// SLOWeightsInto is SLOWeights writing into dst (the length of target) and
+// returning it.
+func SLOWeightsInto(dst, target []float64, slo float64, cfg Config) []float64 {
+	for i := range dst {
+		dst[i] = 1
 		if i >= 1 && target[i] > slo && cfg.SLOPenalty > 0 {
-			w[i] = cfg.SLOPenalty
+			dst[i] = cfg.SLOPenalty
 		}
 	}
-	return w
+	return dst
 }

@@ -63,12 +63,6 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Params implements Module.
 func (l *Linear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 
-// Replicate returns a layer sharing this layer's weights (same backing
-// arrays) with private gradient buffers, for data-parallel workers.
-func (l *Linear) Replicate() *Linear {
-	return &Linear{W: l.W.ShareData(), B: l.B.ShareData()}
-}
-
 // ---------------------------------------------------------------------------
 // FeedForward: Linear -> ReLU -> Linear (the paper's FF blocks)
 // ---------------------------------------------------------------------------
@@ -99,15 +93,6 @@ func (f *FeedForward) Params() []*tensor.Tensor {
 	return CollectParams(f.L1, f.L2)
 }
 
-// Replicate returns a weight-sharing copy with private gradients.
-func (f *FeedForward) Replicate() *FeedForward {
-	return &FeedForward{
-		In: f.In, Hidden: f.Hidden, Out: f.Out,
-		L1: f.L1.Replicate(),
-		L2: f.L2.Replicate(),
-	}
-}
-
 // ---------------------------------------------------------------------------
 // LayerNorm
 // ---------------------------------------------------------------------------
@@ -134,11 +119,6 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Module.
 func (l *LayerNorm) Params() []*tensor.Tensor { return []*tensor.Tensor{l.Gain, l.Bias} }
-
-// Replicate returns a weight-sharing copy with private gradients.
-func (l *LayerNorm) Replicate() *LayerNorm {
-	return &LayerNorm{Gain: l.Gain.ShareData(), Bias: l.Bias.ShareData(), Eps: l.Eps}
-}
 
 // ---------------------------------------------------------------------------
 // Dropout
@@ -176,17 +156,10 @@ func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Params implements Module (dropout has none).
 func (d *Dropout) Params() []*tensor.Tensor { return nil }
 
-// SetRNG installs the random stream used for mask draws. Data-parallel
-// training reseeds dropout deterministically per sample so mask draws depend
-// only on the sample, never on which worker runs it.
+// SetRNG installs the random stream used for mask draws, so a forward pass
+// can draw the masks of a chosen stream (the surrogate's tests replay its
+// training step's per-sample dropout on the tape this way).
 func (d *Dropout) SetRNG(rng *rand.Rand) { d.rng = rng }
-
-// Replicate returns a copy with the same drop probability and training flag
-// but its own (initially nil) random stream; install one with SetRNG before
-// training forward passes when P > 0.
-func (d *Dropout) Replicate() *Dropout {
-	return &Dropout{P: d.P, Train: d.Train}
-}
 
 // ---------------------------------------------------------------------------
 // Positional encoding
@@ -319,15 +292,6 @@ func (m *MultiHeadAttention) Params() []*tensor.Tensor {
 	return CollectParams(m.Wq, m.Wk, m.Wv, m.Wo)
 }
 
-// Replicate returns a weight-sharing copy with private gradients.
-func (m *MultiHeadAttention) Replicate() *MultiHeadAttention {
-	return &MultiHeadAttention{
-		Dim: m.Dim, Heads: m.Heads, headDim: m.headDim,
-		Wq: m.Wq.Replicate(), Wk: m.Wk.Replicate(),
-		Wv: m.Wv.Replicate(), Wo: m.Wo.Replicate(),
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Transformer encoder
 // ---------------------------------------------------------------------------
@@ -386,20 +350,6 @@ func (e *EncoderLayer) Params() []*tensor.Tensor {
 	return CollectParams(e.Att, e.FF, e.Norm1, e.Norm2)
 }
 
-// Replicate returns a weight-sharing copy with private gradients. The copy's
-// dropout layers have no random stream until SetDropoutRNG is called.
-func (e *EncoderLayer) Replicate() *EncoderLayer {
-	return &EncoderLayer{
-		Att:   e.Att.Replicate(),
-		FF:    e.FF.Replicate(),
-		Norm1: e.Norm1.Replicate(),
-		Norm2: e.Norm2.Replicate(),
-		Drop1: e.Drop1.Replicate(),
-		Drop2: e.Drop2.Replicate(),
-		Dim:   e.Dim, FFDim: e.FFDim,
-	}
-}
-
 // Encoder is a stack of N encoder layers (the paper uses N = 2).
 type Encoder struct {
 	Layers []*EncoderLayer
@@ -436,16 +386,6 @@ func (e *Encoder) SetDropoutRNG(rng *rand.Rand) {
 	for _, l := range e.Layers {
 		l.SetDropoutRNG(rng)
 	}
-}
-
-// Replicate returns a weight-sharing copy of the stack with private
-// gradients (see EncoderLayer.Replicate).
-func (e *Encoder) Replicate() *Encoder {
-	layers := make([]*EncoderLayer, len(e.Layers))
-	for i, l := range e.Layers {
-		layers[i] = l.Replicate()
-	}
-	return &Encoder{Layers: layers}
 }
 
 // Params implements Module.

@@ -316,62 +316,16 @@ func TestCollectParams(t *testing.T) {
 	}
 }
 
-func TestEncoderReplicateSharesWeightsNotGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	enc := NewEncoder(rng, 2, 8, 16, 2, 0)
-	rep := enc.Replicate()
-	ps, rs := enc.Params(), rep.Params()
-	if len(ps) != len(rs) {
-		t.Fatalf("replica param count %d vs %d", len(rs), len(ps))
-	}
-	for i := range ps {
-		if &ps[i].Data[0] != &rs[i].Data[0] {
-			t.Fatalf("param %d does not share weight storage", i)
-		}
-		if &ps[i].Grad[0] == &rs[i].Grad[0] {
-			t.Fatalf("param %d shares gradient storage", i)
-		}
-	}
-	// Identical forwards from shared weights.
-	x := tensor.Randn(rng, 1, 5, 8)
-	y1 := enc.Forward(x)
-	y2 := rep.Forward(x)
-	for i := range y1.Data {
-		if y1.Data[i] != y2.Data[i] {
-			t.Fatal("replica forward differs from original")
-		}
-	}
-	// A backward through the replica must leave the original's grads alone.
-	xr := tensor.Randn(rng, 1, 5, 8).RequireGrad()
-	tensor.Backward(tensor.SumAll(tensor.Mul(rep.Forward(xr), rep.Forward(xr))))
-	for i := range ps {
-		for _, g := range ps[i].Grad {
-			if g != 0 {
-				t.Fatalf("original param %d gradient polluted by replica backward", i)
-			}
-		}
-	}
-	// A weight update through the original is visible to the replica.
-	ps[0].Data[0] += 0.5
-	if rs[0].Data[0] != ps[0].Data[0] {
-		t.Fatal("weight update not visible through replica")
-	}
-}
-
-func TestDropoutReplicateAndSetRNG(t *testing.T) {
+func TestDropoutSetRNG(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	d := NewDropout(rng, 0.5)
 	d.Train = true
-	rep := d.Replicate()
-	if rep.P != d.P || !rep.Train {
-		t.Fatalf("replica lost configuration: %+v", rep)
-	}
 	x := tensor.Full(1, 4, 4)
-	// Same seed -> same mask; different seed -> (almost surely) different.
-	rep.SetRNG(rand.New(rand.NewSource(7)))
-	a := rep.Forward(x)
-	rep.SetRNG(rand.New(rand.NewSource(7)))
-	b := rep.Forward(x)
+	// Same seed -> same mask.
+	d.SetRNG(rand.New(rand.NewSource(7)))
+	a := d.Forward(x)
+	d.SetRNG(rand.New(rand.NewSource(7)))
+	b := d.Forward(x)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("reseeded dropout is not deterministic")

@@ -155,63 +155,6 @@ func ClipGradNorm(params []*tensor.Tensor, maxNorm float64) float64 {
 	return norm
 }
 
-// GradBuffer is one detachable gradient shard, shape-aligned with a fixed
-// parameter list. Data-parallel training gives every in-flight sample its own
-// buffer: a worker binds the buffer to its replica's parameters, runs
-// forward/backward so gradients land in the buffer, and the reducer then adds
-// buffers into the optimizer's parameters in a fixed sample order — making
-// the accumulated gradient bit-identical for any worker count.
-type GradBuffer struct {
-	bufs [][]float64
-}
-
-// NewGradBuffer allocates a zeroed shard matching params element-for-element.
-func NewGradBuffer(params []*tensor.Tensor) *GradBuffer {
-	g := &GradBuffer{bufs: make([][]float64, len(params))}
-	for i, p := range params {
-		g.bufs[i] = make([]float64, p.NumEl())
-	}
-	return g
-}
-
-// Zero clears the shard.
-func (g *GradBuffer) Zero() {
-	for _, b := range g.bufs {
-		for i := range b {
-			b[i] = 0
-		}
-	}
-}
-
-// Bind points each parameter's Grad slice at this shard, so a subsequent
-// backward pass accumulates here. params must be shape-aligned with the list
-// the buffer was created from (e.g. a replica's Params() in the same order).
-func (g *GradBuffer) Bind(params []*tensor.Tensor) {
-	if len(params) != len(g.bufs) {
-		panic("opt: GradBuffer.Bind parameter count mismatch")
-	}
-	for i, p := range params {
-		if p.NumEl() != len(g.bufs[i]) {
-			panic("opt: GradBuffer.Bind parameter shape mismatch")
-		}
-		p.Grad = g.bufs[i]
-	}
-}
-
-// AddInto accumulates the shard into the gradients of params (the optimizer's
-// canonical parameters).
-func (g *GradBuffer) AddInto(params []*tensor.Tensor) {
-	if len(params) != len(g.bufs) {
-		panic("opt: GradBuffer.AddInto parameter count mismatch")
-	}
-	for i, p := range params {
-		b := g.bufs[i]
-		for j := range b {
-			p.Grad[j] += b[j]
-		}
-	}
-}
-
 // StepDecay returns the learning rate after applying multiplicative decay
 // gamma every stepSize epochs: lr0 * gamma^(epoch/stepSize).
 func StepDecay(lr0, gamma float64, stepSize, epoch int) float64 {

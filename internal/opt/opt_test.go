@@ -146,51 +146,3 @@ func TestAdamBeatsSGDOnIllConditioned(t *testing.T) {
 		t.Fatalf("Adam (%v) did not beat SGD (%v) on ill-conditioned quadratic", adam, sgd)
 	}
 }
-
-func TestGradBufferBindAndReduce(t *testing.T) {
-	a := tensor.FromData([]float64{1, 2}, 2).RequireGrad()
-	b := tensor.FromData([]float64{3}, 1).RequireGrad()
-	params := []*tensor.Tensor{a, b}
-
-	// Two shards, as if two samples each produced a gradient.
-	replica := []*tensor.Tensor{a.ShareData(), b.ShareData()}
-	g1 := NewGradBuffer(params)
-	g2 := NewGradBuffer(params)
-
-	g1.Bind(replica)
-	tensor.Backward(tensor.SumAll(tensor.Mul(replica[0], replica[0]))) // d/da = 2a
-	g2.Bind(replica)
-	tensor.Backward(tensor.SumAll(replica[1])) // d/db = 1
-
-	g1.AddInto(params)
-	g2.AddInto(params)
-	if a.Grad[0] != 2 || a.Grad[1] != 4 {
-		t.Fatalf("reduced dA = %v, want [2 4]", a.Grad)
-	}
-	if b.Grad[0] != 1 {
-		t.Fatalf("reduced dB = %v, want [1]", b.Grad)
-	}
-
-	// Zero clears the shard without touching the reduced grads.
-	g1.Zero()
-	g1.AddInto(params)
-	if a.Grad[0] != 2 {
-		t.Fatal("Zero did not clear the shard")
-	}
-}
-
-func TestGradBufferMismatchPanics(t *testing.T) {
-	a := tensor.New(2).RequireGrad()
-	g := NewGradBuffer([]*tensor.Tensor{a})
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("Bind count", func() { g.Bind(nil) })
-	mustPanic("Bind shape", func() { g.Bind([]*tensor.Tensor{tensor.New(3).RequireGrad()}) })
-	mustPanic("AddInto count", func() { g.AddInto(nil) })
-}

@@ -16,13 +16,15 @@
 // hidden product across all candidates (see DESIGN.md, "Batched inference &
 // kernel blocking").
 //
-// Training is data-parallel: the samples of each minibatch are sharded
-// across workers running weight-sharing model replicas, and the per-sample
-// gradients are reduced in a fixed sample order, so training is
-// bit-deterministic for a given seed regardless of the worker count.
-// Inference entry points (Predict, PredictGrid, EvalLoss, EvalMAPE) never
-// touch the autograd engine — no tape, no tensor.NoGrad, no goroutines — and
-// are bit-identical to the tape forward the training loop runs.
+// Training runs a compiled step too (trainstep.go): forward, loss and every
+// parameter gradient on weights packed once per optimizer step, in a
+// per-worker arena, bit-identical to the autograd tape (Forward, which stays
+// the reference the tests compare against). The samples of each minibatch
+// are sharded across sweep cells and their per-sample gradients are reduced
+// in a fixed sample order, so training is bit-deterministic for a given seed
+// regardless of the worker count. No entry point (Train, Predict,
+// PredictGrid, EvalLoss, EvalMAPE) builds an autograd graph or touches
+// tensor.NoGrad.
 package surrogate
 
 import (
@@ -155,29 +157,6 @@ func defaultOutScale(dim int) []float64 {
 func (m *Model) Params() []*tensor.Tensor {
 	return nn.CollectParams(m.embed, m.enc, m.postAtt, m.featFF, m.outFF)
 }
-
-// replica returns a model whose parameter tensors alias m's weights (updates
-// through the optimizer are immediately visible) but own private gradient
-// buffers and private dropout/attention scratch state. Params() of the
-// replica is index-aligned with m.Params(). The positional table is constant
-// and shared.
-func (m *Model) replica() *Model {
-	return &Model{
-		Cfg:       m.Cfg,
-		Norm:      m.Norm,
-		GammaHint: m.GammaHint,
-		embed:     m.embed.Replicate(),
-		pos:       m.pos,
-		enc:       m.enc.Replicate(),
-		postAtt:   m.postAtt.Replicate(),
-		featFF:    m.featFF.Replicate(),
-		outFF:     m.outFF.Replicate(),
-	}
-}
-
-// setDropoutRNG installs one shared random stream on every dropout layer of
-// the model (only the encoder layers carry dropout).
-func (m *Model) setDropoutRNG(rng *rand.Rand) { m.enc.SetDropoutRNG(rng) }
 
 // NumParams returns the scalar parameter count.
 func (m *Model) NumParams() int { return nn.NumParams(m) }

@@ -341,7 +341,8 @@ func TestDecodeEnforcesMonotonePercentiles(t *testing.T) {
 func TestScaleTargetRoundTrip(t *testing.T) {
 	m := NewModel(tinyModelConfig())
 	target := []float64{2e-6, 0.01, 0.02, 0.03, 0.05, 0.08}
-	scaled := m.scaleTarget(target)
+	scaled := make([]float64, len(target))
+	m.scaleTargetInto(scaled, target)
 	// Cost scaled to ~2, latencies to ~0.1-0.8: all O(1).
 	for i, v := range scaled {
 		if math.Abs(v) > 10 {

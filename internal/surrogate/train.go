@@ -3,15 +3,13 @@ package surrogate
 import (
 	"errors"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/loss"
 	"deepbat/internal/obs"
 	"deepbat/internal/opt"
 	"deepbat/internal/stats"
-	"deepbat/internal/tensor"
+	"deepbat/internal/sweep"
 )
 
 // TrainConfig holds the optimization hyperparameters. The paper trains for
@@ -28,13 +26,14 @@ type TrainConfig struct {
 	ClipNorm float64
 	// Seed shuffles minibatches deterministically.
 	Seed int64
-	// Workers is the number of goroutines sharding each minibatch
+	// Workers is the number of sweep cells sharding each minibatch
 	// (0 = GOMAXPROCS). Training is bit-deterministic for a fixed Seed
 	// regardless of the worker count: every sample's gradient lands in its
 	// own buffer and buffers are reduced in sample order, and dropout masks
 	// are seeded per (epoch, sample position), never per worker.
 	Workers int
-	// Quiet suppresses the per-epoch Progress callback.
+	// Progress, when non-nil, is called after every epoch with the mean
+	// training loss and the validation loss.
 	Progress func(epoch int, trainLoss, valLoss float64)
 	// Obs, when non-nil, receives training telemetry: per-epoch loss and
 	// validation-loss gauges, a per-batch pre-clip gradient-norm histogram,
@@ -74,30 +73,12 @@ type History struct {
 	ValLoss   []float64
 }
 
-// scaleTarget converts a physical target vector into the model's normalized
-// output space.
-func (m *Model) scaleTarget(target []float64) []float64 {
-	out := make([]float64, len(target))
+// scaleTargetInto writes a physical target vector, converted into the
+// model's normalized output space, into dst.
+func (m *Model) scaleTargetInto(dst, target []float64) {
 	for i, v := range target {
-		out[i] = v / m.Norm.OutScale[i]
+		dst[i] = v / m.Norm.OutScale[i]
 	}
-	return out
-}
-
-// sampleLoss builds the scalar loss tensor for one sample: the combined
-// Huber+MAPE loss with violating latency entries up-weighted, and the whole
-// sample scaled by the SLO penalty when its configuration violates.
-func (m *Model) sampleLoss(s Sample, cfg TrainConfig) *tensor.Tensor {
-	pred := m.Forward(s.Seq, s.Config)
-	target := tensor.FromData(m.scaleTarget(s.Target), len(s.Target))
-	weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
-	flat := tensor.Reshape(pred, len(s.Target))
-	l := loss.Combined(flat, target, cfg.Loss, weights)
-	//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; bit equality skips a no-op Scale
-	if w := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); w != 1 {
-		l = tensor.Scale(l, w)
-	}
-	return l
 }
 
 // sampleSeed derives the dropout seed of the sample at shuffled position pos
@@ -114,31 +95,16 @@ func sampleSeed(base int64, epoch, pos int) int64 {
 	return int64(z)
 }
 
-// trainWorkers resolves the effective worker count for one minibatch.
-func trainWorkers(cfgWorkers, batch int) int {
-	w := cfgWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > batch {
-		w = batch
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Train fits the model on train, reporting validation loss on val (which may
 // be nil or empty). Normalization must already be fitted (FitNormalization).
 //
-// The samples of each minibatch are independent, so they are sharded across
-// cfg.Workers goroutines. Each worker drives its own weight-sharing replica
-// of the model (tensor.ShareData: one set of weights, per-replica gradient
-// storage) and writes every sample's gradient into that sample's own
-// opt.GradBuffer. After the workers join, the buffers are reduced into the
-// optimizer's parameters in sample order, clipped, and stepped — so the
-// update is bit-identical for any worker count.
+// Every sample runs the compiled training step (trainstep.go) on weights
+// packed once per optimizer step. The samples of each minibatch are
+// independent, so they are sharded across cfg.Workers sweep cells, each with
+// its own arena; every sample's gradient lands in its own flat slice. After
+// the cells join, the slices are added into the optimizer's parameters in
+// sample order, clipped, and stepped — so the update is bit-identical for any
+// worker count, and to the autograd tape.
 func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 	if train == nil || train.Len() == 0 {
 		return nil, errors.New("surrogate: empty training set")
@@ -158,24 +124,21 @@ func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 	}
 	hist := &History{}
 	order := make([]int, train.Len())
-	for i := range order {
+	maxLen := 0
+	for i, s := range train.Samples {
 		order[i] = i
+		maxLen = max(maxLen, len(s.Seq))
 	}
 
-	workers := trainWorkers(cfg.Workers, cfg.BatchSize)
-	reps := make([]*Model, workers)
-	repParams := make([][]*tensor.Tensor, workers)
-	for w := range reps {
-		reps[w] = m.replica()
-		reps[w].SetTrain(true)
-		repParams[w] = reps[w].Params()
+	st := newTrainStep(m)
+	workers := sweep.Options{Workers: cfg.Workers}.WorkersFor(cfg.BatchSize)
+	shards := make([]*stepWorker, workers)
+	for w := range shards {
+		shards[w] = st.newWorker(maxLen)
 	}
-	// One gradient shard and loss slot per batch position, reused across
+	// One flat gradient and loss slot per batch position, reused across
 	// batches.
-	bufs := make([]*opt.GradBuffer, cfg.BatchSize)
-	for i := range bufs {
-		bufs[i] = opt.NewGradBuffer(params)
-	}
+	grads := make([]float64, cfg.BatchSize*st.size)
 	losses := make([]float64, cfg.BatchSize)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -184,63 +147,37 @@ func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 		var batches int
 		var usedSlots, capSlots float64
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
+			end := min(start+cfg.BatchSize, len(order))
 			bs := end - start
 			scale := 1 / float64(bs)
-			runShard := func(w, lo, hi int) {
-				rep := reps[w]
-				for p := lo; p < hi; p++ {
-					if rep.Cfg.Dropout > 0 {
-						rep.setDropoutRNG(rand.New(rand.NewSource(sampleSeed(cfg.Seed, epoch, start+p))))
-					}
-					buf := bufs[p]
-					buf.Zero()
-					buf.Bind(repParams[w])
-					l := tensor.Scale(rep.sampleLoss(train.Samples[order[start+p]], cfg), scale)
-					tensor.Backward(l)
-					losses[p] = l.Item()
-				}
-			}
-			bw := workers
-			if bw > bs {
-				bw = bs
-			}
+			bw := min(workers, bs)
+			chunk := (bs + bw - 1) / bw
 			if met != nil {
-				shard := (bs + bw - 1) / bw
 				usedSlots += float64(bs)
-				capSlots += float64(bw * shard)
+				capSlots += float64(bw * chunk)
 			}
-			if bw <= 1 {
-				runShard(0, 0, bs)
-			} else {
-				var wg sync.WaitGroup
-				chunk := (bs + bw - 1) / bw
-				for w := 0; w < bw; w++ {
-					lo := w * chunk
-					hi := lo + chunk
-					if hi > bs {
-						hi = bs
+			st.repack()
+			err := sweep.Run(sweep.Options{Workers: bw}, bw, func(c *sweep.Cell) error {
+				w := shards[c.Index]
+				for p := c.Index * chunk; p < min((c.Index+1)*chunk, bs); p++ {
+					if m.Cfg.Dropout > 0 {
+						w.rng.Seed(sampleSeed(cfg.Seed, epoch, start+p))
 					}
-					if lo >= hi {
-						break
-					}
-					wg.Add(1)
-					go func(w, lo, hi int) {
-						defer wg.Done()
-						runShard(w, lo, hi)
-					}(w, lo, hi)
+					g := grads[p*st.size : (p+1)*st.size]
+					clear(g)
+					losses[p] = st.run(w, train.Samples[order[start+p]], cfg, scale, g)
 				}
-				wg.Wait()
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			// Deterministic reduction: sample order, independent of which
-			// worker produced each shard.
+			// worker produced each gradient.
 			optim.ZeroGrad()
 			var batchLoss float64
 			for p := 0; p < bs; p++ {
-				bufs[p].AddInto(params)
+				st.addInto(grads[p*st.size : (p+1)*st.size])
 				batchLoss += losses[p]
 			}
 			if cfg.ClipNorm > 0 {
@@ -300,28 +237,22 @@ func (m *Model) forwardRows(d *Dataset) []float64 {
 
 // EvalLoss computes the mean combined loss over a dataset without updating
 // parameters. The forward pass is the compiled one (one head GEMM for the
-// whole dataset); per-sample losses are reduced in sample order, so the
-// result is deterministic and bit-identical to the per-sample evaluation.
-// The loss itself is the training loss's tensor ops over detached leaves:
-// nothing requires grad, so no gradient storage is built and — unlike a
-// tensor.NoGrad scope — nothing process-wide is touched.
+// whole dataset) and the loss is the training step's loss kernel on plain
+// floats; per-sample losses are reduced in sample order, so the result is
+// deterministic and bit-identical to the sample-order mean of the tape's
+// per-sample loss.
 func (m *Model) EvalLoss(d *Dataset, cfg TrainConfig) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
 	out := m.forwardRows(d)
 	w := m.Cfg.OutputDim()
+	target, wts := make([]float64, w), make([]float64, w)
 	var total float64
 	for i, s := range d.Samples {
-		pred := tensor.FromData(out[i*w:(i+1)*w], w)
-		target := tensor.FromData(m.scaleTarget(s.Target), len(s.Target))
-		weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
-		l := loss.Combined(pred, target, cfg.Loss, weights)
-		//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; bit equality skips a no-op Scale
-		if wgt := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); wgt != 1 {
-			l = tensor.Scale(l, wgt)
-		}
-		total += l.Item()
+		m.scaleTargetInto(target, s.Target)
+		loss.SLOWeightsInto(wts, s.Target, cfg.SLO, cfg.Loss)
+		total += combinedLoss(out[i*w:(i+1)*w], target, wts, cfg.Loss, loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss)).value
 	}
 	return total / float64(d.Len())
 }

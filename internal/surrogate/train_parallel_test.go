@@ -7,7 +7,7 @@ import (
 )
 
 // synthDataset fabricates a labeled dataset directly (no simulator), so the
-// parallel-training tests stay fast and self-contained.
+// training tests stay fast and self-contained.
 func synthDataset(n, seqLen int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	grid := tinyGrid().Configs()
@@ -66,9 +66,9 @@ func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("history length %d vs %d", len(hPar.TrainLoss), len(hSerial.TrainLoss))
 		}
 		for e := range hSerial.TrainLoss {
-			if d := math.Abs(hSerial.TrainLoss[e] - hPar.TrainLoss[e]); d > 1e-9 {
-				t.Fatalf("workers=%d epoch %d loss %v vs serial %v (|diff| %v)",
-					workers, e, hPar.TrainLoss[e], hSerial.TrainLoss[e], d)
+			if !bitEqual(hSerial.TrainLoss[e], hPar.TrainLoss[e]) {
+				t.Fatalf("workers=%d epoch %d loss %v vs serial %v (bitwise)",
+					workers, e, hPar.TrainLoss[e], hSerial.TrainLoss[e])
 			}
 		}
 		ps, pp := mSerial.Params(), mPar.Params()
@@ -112,9 +112,10 @@ func TestTrainWorkerCountEdgeCases(t *testing.T) {
 	}
 }
 
-// TestEvalParallelMatchesSerialValues pins the parallel no-grad evaluators
-// to a serial tape-free reference computed sample by sample.
-func TestEvalParallelMatchesSerialValues(t *testing.T) {
+// TestEvalMatchesTapeValues pins the compiled evaluators to the tape computed
+// sample by sample: EvalLoss to the sample-order mean of the tape loss, bit
+// for bit, and Predict to the decoded tape forward.
+func TestEvalMatchesTapeValues(t *testing.T) {
 	ds := synthDataset(20, 16, 11)
 	m := NewModel(tinyModelConfig())
 	m.FitNormalization(ds)
@@ -125,11 +126,11 @@ func TestEvalParallelMatchesSerialValues(t *testing.T) {
 		want += m.sampleLoss(s, cfg).Item()
 	}
 	want /= float64(ds.Len())
-	if got := m.EvalLoss(ds, cfg); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("EvalLoss = %v, want %v", got, want)
+	if got := m.EvalLoss(ds, cfg); !bitEqual(got, want) {
+		t.Fatalf("EvalLoss = %v, want %v (bitwise)", got, want)
 	}
 
-	// Predict (tape-free) must agree with the raw grad-mode forward pass.
+	// Predict (compiled) must agree with the tape forward pass.
 	for _, s := range ds.Samples[:5] {
 		out := m.Forward(s.Seq, s.Config)
 		want := m.decode(out.Data, s.Config)
@@ -139,7 +140,7 @@ func TestEvalParallelMatchesSerialValues(t *testing.T) {
 		}
 		for i := range want.Percentiles {
 			if got.Percentiles[i] != want.Percentiles[i] {
-				t.Fatalf("no-grad Predict percentile %d differs", i)
+				t.Fatalf("Predict percentile %d differs from the tape", i)
 			}
 		}
 	}

@@ -2,8 +2,8 @@
 // every multi-cell evaluation in this repo: the experiments' scenario
 // matrices, ablation/sensitivity grids and chaos sweeps, qsim's grid-search
 // fan-out, the loadgen/replay shard sweeps, surrogate dataset labelling
-// (one simulation per sample) and the BATCH baseline's per-configuration
-// analysis. The numeric kernels below these cells are serial; parallelism
+// (one simulation per sample) and minibatch training (one cell per worker),
+// and the BATCH baseline's per-configuration analysis. The numeric kernels below these cells are serial; parallelism
 // lives at the cell grain.
 //
 // A sweep executes N independent cells on a bounded worker pool and merges

@@ -179,37 +179,6 @@ func TestNoGradNestsAndRestores(t *testing.T) {
 	}
 }
 
-func TestShareData(t *testing.T) {
-	a := FromData([]float64{1, 2, 3}, 3).RequireGrad()
-	Backward(SumAll(a))
-	s := a.ShareData()
-	if &s.Data[0] != &a.Data[0] {
-		t.Fatal("ShareData must alias the weight storage")
-	}
-	if s.Grad == nil || &s.Grad[0] == &a.Grad[0] {
-		t.Fatal("ShareData must allocate a private gradient buffer")
-	}
-	if !s.RequiresGrad() {
-		t.Fatal("ShareData must preserve the grad requirement")
-	}
-	for _, g := range s.Grad {
-		if g != 0 {
-			t.Fatal("ShareData gradient buffer must start zeroed")
-		}
-	}
-	// Writes through the clone are visible to the original (weight updates
-	// propagate to replicas).
-	s.Data[1] = 42
-	if a.Data[1] != 42 {
-		t.Fatal("ShareData write did not propagate")
-	}
-	// Gradients stay private.
-	Backward(SumAll(Mul(s, s)))
-	if a.Grad[0] != 1 {
-		t.Fatalf("original gradient clobbered: %v", a.Grad)
-	}
-}
-
 // TestMatMulBlockedDispatchBitIdentical drives MatMul through both sides
 // of the gemm.BlockedThreshold dispatch — the ragged shapes stay on the
 // naive kernel, the rest take the blocked one — and checks the result

@@ -123,18 +123,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// ShareData returns a tensor that aliases t's Data (writes through either are
-// visible to both) but owns a separate gradient buffer. It is the building
-// block of data-parallel training replicas: each worker gets parameter
-// tensors backed by the same weights with private gradient accumulators.
-func (t *Tensor) ShareData() *Tensor {
-	c := &Tensor{Data: t.Data, Shape: append([]int(nil), t.Shape...), requiresGrad: t.requiresGrad}
-	if t.requiresGrad {
-		c.Grad = make([]float64, len(t.Data))
-	}
-	return c
-}
-
 // RequireGrad marks t as a differentiable leaf and allocates gradient
 // storage. It returns t for chaining.
 func (t *Tensor) RequireGrad() *Tensor {
