@@ -11,7 +11,6 @@ import (
 
 	"deepbat/internal/lambda"
 	"deepbat/internal/qsim"
-	"deepbat/internal/stats"
 )
 
 // Group is one function group of an assignment: the classes packed onto it,
@@ -152,7 +151,7 @@ func Optimize(p Plan, windows [][]float64, oc OptimizerConfig) (*Assignment, err
 
 // gridSearch is the signature of qsim's GroundTruthBest; tests plan with an
 // exhaustive reference in its place.
-type gridSearch func(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, *qsim.Result, error)
+type gridSearch func(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, qsim.Score, error)
 
 func optimize(p Plan, windows [][]float64, oc OptimizerConfig, best gridSearch) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
@@ -168,17 +167,15 @@ func optimize(p Plan, windows [][]float64, oc OptimizerConfig, best gridSearch) 
 	pct := oc.pct()
 	// search is one ground-truth grid search for unit u's profile, pricing
 	// and SLO over arrivals: the chosen config, its predicted cost, and
-	// whether its tail met the SLO. The Result is the search's own, so the
-	// tail is read by selection in place, once.
+	// whether its tail met the SLO, all read off the search's score.
 	search := func(u *unit, arrivals []float64) (lambda.Config, float64, bool, error) {
 		sim := qsim.New(lambda.Profiles[u.profile], u.pricing)
 		sim.Opts.Workers = oc.Workers
-		cfg, res, err := best(sim, arrivals, grid, u.slo, pct)
+		cfg, score, err := best(sim, arrivals, grid, u.slo, pct)
 		if err != nil {
 			return lambda.Config{}, 0, false, err
 		}
-		tail, _ := stats.PercentileSelect(res.Latencies, pct) // a Result is never empty
-		return cfg, res.TotalCost, tail <= u.slo, nil
+		return cfg, score.TotalCost, score.Feasible, nil
 	}
 
 	// Phase 1: solo search per static unit.

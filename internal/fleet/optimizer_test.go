@@ -209,8 +209,9 @@ func TestStaticAssignmentMergeWith(t *testing.T) {
 }
 
 // exhaustiveBest is the reference grid search: a full Run of every config,
-// every Result kept, every tail read off a sorted copy.
-func exhaustiveBest(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, *qsim.Result, error) {
+// every Result kept, every tail read off a sorted copy, and the winner's
+// score read off its Result.
+func exhaustiveBest(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, slo, pct float64) (lambda.Config, qsim.Score, error) {
 	type scored struct {
 		cfg  lambda.Config
 		res  *qsim.Result
@@ -220,7 +221,7 @@ func exhaustiveBest(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, s
 	for _, cfg := range grid.Configs() {
 		res, err := sim.Run(arrivals, cfg)
 		if err != nil {
-			return lambda.Config{}, nil, err
+			return lambda.Config{}, qsim.Score{}, err
 		}
 		all = append(all, scored{cfg, res, res.LatencyPercentile(pct)})
 	}
@@ -234,7 +235,8 @@ func exhaustiveBest(sim *qsim.Simulator, arrivals []float64, grid lambda.Grid, s
 		sort.Slice(all, func(i, j int) bool { return all[i].tail < all[j].tail })
 		best = 0
 	}
-	return all[best].cfg, all[best].res, nil
+	w := all[best]
+	return w.cfg, qsim.Score{TotalCost: w.res.TotalCost, Tail: w.tail, Feasible: w.tail <= slo}, nil
 }
 
 // TestOptimizeMatchesExhaustive plans the fleet experiment's matrix ({2, 3}

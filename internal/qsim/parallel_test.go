@@ -8,7 +8,7 @@ import (
 )
 
 // TestGroundTruthBestParallelMatchesSerial pins the sweep fan-out contract
-// for the grid search: the selected config and its result are bit-identical
+// for the grid search: the selected config and its score are bit-identical
 // whether the grid is evaluated serially or across workers.
 func TestGroundTruthBestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -22,7 +22,7 @@ func TestGroundTruthBestParallelMatchesSerial(t *testing.T) {
 
 	serial := New(lambda.DefaultProfile(), lambda.DefaultPricing())
 	serial.Opts.Workers = 1
-	sCfg, sRes, err := serial.GroundTruthBest(ts, grid, 0.1, 95)
+	sCfg, sScore, err := serial.GroundTruthBest(ts, grid, 0.1, 95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,25 +30,15 @@ func TestGroundTruthBestParallelMatchesSerial(t *testing.T) {
 	for _, w := range []int{0, 4, 8} {
 		par := New(lambda.DefaultProfile(), lambda.DefaultPricing())
 		par.Opts.Workers = w
-		pCfg, pRes, err := par.GroundTruthBest(ts, grid, 0.1, 95)
+		pCfg, pScore, err := par.GroundTruthBest(ts, grid, 0.1, 95)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pCfg != sCfg {
 			t.Fatalf("workers=%d selected %v, serial selected %v", w, pCfg, sCfg)
 		}
-		if len(pRes.Latencies) != len(sRes.Latencies) {
-			t.Fatalf("workers=%d: %d latencies vs %d", w, len(pRes.Latencies), len(sRes.Latencies))
-		}
-		for i := range pRes.Latencies {
-			//lint:allow floatcompare bit-identity is the contract under test
-			if pRes.Latencies[i] != sRes.Latencies[i] {
-				t.Fatalf("workers=%d: latency %d = %v, want %v", w, i, pRes.Latencies[i], sRes.Latencies[i])
-			}
-		}
-		//lint:allow floatcompare bit-identity is the contract under test
-		if pRes.TotalCost != sRes.TotalCost {
-			t.Fatalf("workers=%d: cost %v, want %v", w, pRes.TotalCost, sRes.TotalCost)
+		if !sameScore(pScore, sScore) {
+			t.Fatalf("workers=%d: score %+v, want %+v", w, pScore, sScore)
 		}
 	}
 }
