@@ -84,7 +84,10 @@ loadgen-smoke:
 
 ## fuzz: short native-fuzzing passes sized for CI. FuzzRun hammers the
 ## discrete-event simulator's batching invariants (corpus seeds include
-## fault schedules, so the failure mirror is fuzzed too); FuzzDecode hammers
+## fault schedules, so the failure mirror is fuzzed too); FuzzGroundTruthBest
+## hammers the scoring grid search against the per-config-Run search (same
+## config, same score bit for bit, SLOs on and one ulp either side of a
+## config's exact tail); FuzzDecode hammers
 ## the tracev1 binary decoder (never panics, and anything it accepts must
 ## round-trip bit-identically); FuzzPlanValidate hammers the fleet plan
 ## codec (never panics, and any plan the canonical decoder accepts must
@@ -93,6 +96,7 @@ loadgen-smoke:
 ## give the tape's loss and gradients bit for bit).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=20s -run='^$$' ./internal/qsim
+	$(GO) test -fuzz=FuzzGroundTruthBest -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzDecode -fuzztime=20s -run='^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzPlanValidate -fuzztime=20s -run='^$$' ./internal/fleet
 	$(GO) test -fuzz=FuzzTrainStepMatchesTape -fuzztime=20s -run='^$$' ./internal/surrogate

@@ -111,3 +111,58 @@ func FuzzRun(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGroundTruthBest is the scoring search's differential fuzz test: over
+// fuzzed gaps (zero gaps give simultaneous arrivals), a fuzzed percentile,
+// and an SLO either fuzzed outright or put on, or one ulp either side of,
+// one config's exact tail, the search at Workers 1 and 2 must choose and
+// score what the per-config-Run search does on the ragged grid.
+func FuzzGroundTruthBest(f *testing.F) {
+	f.Add([]byte{10, 0, 20, 0, 30, 0, 40, 0}, uint16(100), uint8(95), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0}, uint16(0), uint8(50), uint8(1), uint8(7))
+	f.Add([]byte{255, 255, 1, 0, 0, 0, 9, 0, 200, 1}, uint16(40000), uint8(100), uint8(4), uint8(3))
+	f.Add([]byte{5, 0}, uint16(1), uint8(0), uint8(3), uint8(11))
+	f.Fuzz(func(t *testing.T, raw []byte, sloMS uint16, pctRaw uint8, mode, pick uint8) {
+		ts := decodeArrivals(raw)
+		if len(ts) == 0 {
+			return
+		}
+		grid := raggedGrid()
+		configs := grid.Configs()
+		pct := float64(pctRaw % 101)
+		slo := float64(sloMS) / 1000
+		if mode%4 > 0 {
+			res, err := sim().Run(ts, configs[int(pick)%len(configs)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			slo = res.LatencyPercentile(pct)
+			switch mode % 4 {
+			case 1:
+				slo = math.Nextafter(slo, math.Inf(-1))
+			case 3:
+				slo = math.Nextafter(slo, math.Inf(1))
+			}
+		}
+		ref := sim()
+		ref.Opts.Workers = 1
+		want, wantRes, err := ref.searchByRun(ts, configs, slo, pct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTail := wantRes.LatencyPercentile(pct)
+		wantScore := Score{TotalCost: wantRes.TotalCost, Tail: wantTail, Feasible: !(wantTail > slo)}
+		for _, w := range []int{1, 2} {
+			s := sim()
+			s.Opts.Workers = w
+			got, score, err := s.GroundTruthBest(ts, grid, slo, pct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != configs[want] || !sameScore(score, wantScore) {
+				t.Fatalf("n=%d slo=%v pct=%v workers=%d: chose %v %+v, per-config Runs chose %v %+v",
+					len(ts), slo, pct, w, got, score, configs[want], wantScore)
+			}
+		}
+	})
+}
