@@ -93,13 +93,17 @@ loadgen-smoke:
 ## codec (never panics, and any plan the canonical decoder accepts must
 ## re-encode bit-identically); FuzzTrainStepMatchesTape hammers the compiled
 ## training step (a random tiny architecture, window, dropout and target must
-## give the tape's loss and gradients bit for bit).
+## give the tape's loss and gradients bit for bit); FuzzPredictGridMatchesPredict
+## hammers inference on the same packed network (a random tiny architecture,
+## window and grid must give the tape forward's predictions bit for bit, also
+## after a weight write).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzGroundTruthBest -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzDecode -fuzztime=20s -run='^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzPlanValidate -fuzztime=20s -run='^$$' ./internal/fleet
 	$(GO) test -fuzz=FuzzTrainStepMatchesTape -fuzztime=20s -run='^$$' ./internal/surrogate
+	$(GO) test -fuzz=FuzzPredictGridMatchesPredict -fuzztime=20s -run='^$$' ./internal/surrogate
 
 ## replay-smoke: CI check for the workload-zoo replay path — generate a
 ## small azure tracev1 (digest-verified), replay it twice through the real

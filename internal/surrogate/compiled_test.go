@@ -77,18 +77,25 @@ func containsZero(xs []float64) bool {
 // TestCompiledMatchesTape pins the tentpole contract across the shapes that
 // change which kernels run: window lengths from one element up to the
 // paper's 256, head widths 16, 8 and 4 (only 8 fills a GEMM panel; the
-// others take the ragged kernels), and the post-attention ablation.
+// others take the ragged kernels), and the post-attention ablation. The
+// dropout rows are the lab's and the benchmark's setting: evaluation mode
+// must draw no mask.
 func TestCompiledMatchesTape(t *testing.T) {
 	for _, seqLen := range []int{1, 8, 32, 64, 256} {
 		for _, heads := range []int{1, 2, 4} {
-			for _, noPost := range []bool{false, true} {
+			for _, mode := range []struct {
+				noPost  bool
+				dropout float64
+			}{{false, 0}, {true, 0}, {false, 0.05}} {
+				noPost := mode.noPost
 				cfg := tinyModelConfig()
 				cfg.SeqLen, cfg.Heads, cfg.DisablePostAttention = seqLen, heads, noPost
+				cfg.Dropout = mode.dropout
 				cfg.Seed = int64(seqLen*10 + heads)
 				m := variedModel(cfg)
 				rng := rand.New(rand.NewSource(cfg.Seed))
 				cfgs := append(tinyGrid().Configs(), randomGrid(rng)...)
-				tag := fmt.Sprintf("l=%d heads=%d noPost=%v", seqLen, heads, noPost)
+				tag := fmt.Sprintf("l=%d heads=%d noPost=%v dropout=%v", seqLen, heads, noPost, mode.dropout)
 				checkAgainstTape(t, tag, m, randomWindow(rng, seqLen), cfgs)
 				checkAgainstTape(t, tag+" zero gaps", m, zeroGapWindow(rng, seqLen), cfgs)
 
@@ -204,6 +211,22 @@ func TestForwardRowsMixedLengths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorkspaceEnforcesReservation takes one float past a reservation from
+// an arena whose pooled buffer is larger: the limit is what was reserved,
+// not what the pool happened to hand back.
+func TestWorkspaceEnforcesReservation(t *testing.T) {
+	putWorkspace(getWorkspace(64))
+	ws := getWorkspace(8)
+	defer putWorkspace(ws)
+	ws.take(8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("taking past the reservation did not panic")
+		}
+	}()
+	ws.take(1)
 }
 
 // TestCompiledConcurrentGrids sweeps one model from eight goroutines on two

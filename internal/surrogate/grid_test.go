@@ -82,29 +82,39 @@ func TestPredictGridBitIdenticalToPredict(t *testing.T) {
 }
 
 // FuzzPredictGridMatchesPredict fuzzes the compiled path against the tape
-// forward over model seed, window length, head count, the post-attention
-// ablation, zero gaps, and a weight write plus a grid swap between sweeps.
+// forward over model seed, window length, a tiny random architecture (head
+// count, embedding width, feed-forward width, encoder depth, dropout), the
+// post-attention ablation, zero gaps, and a weight write plus a grid swap
+// between sweeps.
 func FuzzPredictGridMatchesPredict(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(1), false, false)
 	f.Add(int64(42), uint8(3), uint8(0), true, true)
 	f.Add(int64(-7), uint8(64), uint8(2), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, winLen, headSel uint8, noPost, zeroGaps bool) {
+	f.Add(int64(5), uint8(40), uint8(0xc9), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, winLen, bits uint8, noPost, zeroGaps bool) {
 		n := int(winLen)%64 + 1
 		rng := rand.New(rand.NewSource(seed))
 		cfg := tinyModelConfig()
 		cfg.Seed = seed
-		cfg.Heads = 1 << (headSel % 3)
+		cfg.Heads = []int{1, 2, 4}[int(bits)%3]
+		cfg.EmbedDim = 4 * (1 + int(bits>>2)%3)
+		cfg.FFHidden = 3 + int(bits>>4)%14
+		cfg.EncoderLayers = 1 + int(bits>>6)%2
+		if bits&0x08 != 0 {
+			cfg.Dropout = 0.2
+		}
 		cfg.DisablePostAttention = noPost
 		m := variedModel(cfg)
 		seq := randomWindow(rng, n)
 		if zeroGaps {
 			seq = zeroGapWindow(rng, n)
 		}
-		checkAgainstTape(t, "first sweep", m, seq, randomGrid(rng))
+		tag := fmt.Sprintf("%+v", cfg)
+		checkAgainstTape(t, tag+": first sweep", m, seq, randomGrid(rng))
 		params := m.Params()
 		p := params[rng.Intn(len(params))]
 		p.Data[rng.Intn(len(p.Data))] = rng.NormFloat64()
-		checkAgainstTape(t, "after a weight write and a grid swap", m, seq, randomGrid(rng))
+		checkAgainstTape(t, tag+": after a weight write and a grid swap", m, seq, randomGrid(rng))
 	})
 }
 
@@ -152,7 +162,7 @@ func TestEvalBatchedMatchesPerSample(t *testing.T) {
 // A steady-state sweep over the default 216-candidate grid allocates the two
 // slices it returns (predictions and their percentile backing) and nothing
 // else — the arena is pooled and the snapshot is reused. A single Predict,
-// which runs the compiled headRows, allocates only its percentile slice.
+// which runs the compiled head, allocates only its percentile slice.
 // EvalMAPE over 24 samples (the compiled forwardRows) allocates its four
 // result slices plus the append growth of its two flat error vectors, 22 in
 // all; one tape forward per sample would cost hundreds per sample.
@@ -186,37 +196,47 @@ func TestPredictGridAllocBudget(t *testing.T) {
 
 // TestAttentionScoresTapeFreeCapture holds AttentionScores to the first
 // encoder layer's Scores on the input the tape forward feeds that layer, bit
-// for bit, and checks that the call leaves no gradient on the model.
+// for bit, across head counts, window lengths up to the paper's 256 and a
+// dropout model, and checks that the call leaves no gradient on the model.
 func TestAttentionScoresTapeFreeCapture(t *testing.T) {
-	m := variedModel(tinyModelConfig())
-	seq := randomWindow(rand.New(rand.NewSource(3)), 16)
-	got := m.AttentionScores(seq)
+	for _, heads := range []int{1, 2, 4} {
+		for _, n := range []int{1, 16, 64, 256} {
+			for _, dropout := range []float64{0, 0.05} {
+				cfg := tinyModelConfig()
+				cfg.Heads, cfg.Dropout = heads, dropout
+				m := variedModel(cfg)
+				seq := randomWindow(rand.New(rand.NewSource(3)), n)
+				got := m.AttentionScores(seq)
+				tag := fmt.Sprintf("heads=%d l=%d dropout=%v", heads, n, dropout)
 
-	x := m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
-	agg := make([]float64, len(seq))
-	for _, h := range m.enc.Layers[0].Att.Scores(x, x, nil) {
-		for r := 0; r < h.Rows(); r++ {
-			for c := 0; c < h.Cols(); c++ {
-				agg[c] += h.At(r, c)
-			}
-		}
-	}
-	total := 0.0
-	for _, v := range agg {
-		total += v
-	}
-	for i := range agg {
-		agg[i] /= total
-	}
-	for i := range agg {
-		if !bitEqual(got[i], agg[i]) {
-			t.Fatalf("score %d = %v, want %v (bitwise)", i, got[i], agg[i])
-		}
-	}
-	for i, p := range m.Params() {
-		for _, g := range p.Grad {
-			if g != 0 {
-				t.Fatalf("AttentionScores left a gradient on parameter %d", i)
+				x := m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
+				agg := make([]float64, len(seq))
+				for _, h := range m.enc.Layers[0].Att.Scores(x, x, nil) {
+					for r := 0; r < h.Rows(); r++ {
+						for c := 0; c < h.Cols(); c++ {
+							agg[c] += h.At(r, c)
+						}
+					}
+				}
+				total := 0.0
+				for _, v := range agg {
+					total += v
+				}
+				for i := range agg {
+					agg[i] /= total
+				}
+				for i := range agg {
+					if !bitEqual(got[i], agg[i]) {
+						t.Fatalf("%s: score %d = %v, want %v (bitwise)", tag, i, got[i], agg[i])
+					}
+				}
+				for i, p := range m.Params() {
+					for _, g := range p.Grad {
+						if g != 0 {
+							t.Fatalf("%s: AttentionScores left a gradient on parameter %d", tag, i)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -7,24 +7,24 @@
 //
 // The package also provides ground-truth dataset generation from the
 // discrete-event simulator, the paper's training loop (Adam, combined
-// Huber+MAPE loss with SLO-violation penalty), fine-tuning for
-// out-of-distribution workloads, and a compiled, tape-free inference path
-// (compiled.go): an immutable snapshot of the model with every weight matrix
-// pre-packed for the blocked GEMM kernel, run in place on a pooled arena, on
-// which a grid sweep encodes the window once, reuses the grid's cached
-// feature-branch rows and shares the encoding's half of the output head's
-// hidden product across all candidates (see DESIGN.md, "Batched inference &
-// kernel blocking").
+// Huber+MAPE loss with SLO-violation penalty), and fine-tuning for
+// out-of-distribution workloads.
 //
-// Training runs a compiled step too (trainstep.go): forward, loss and every
-// parameter gradient on weights packed once per optimizer step, in a
-// per-worker arena, bit-identical to the autograd tape (Forward, which stays
-// the reference the tests compare against). The samples of each minibatch
-// are sharded across sweep cells and their per-sample gradients are reduced
-// in a fixed sample order, so training is bit-deterministic for a given seed
-// regardless of the worker count. No entry point (Train, Predict,
-// PredictGrid, EvalLoss, EvalMAPE) builds an autograd graph or touches
-// tensor.NoGrad.
+// One compiled network (trainstep.go) runs all of it: every weight matrix
+// packed for the blocked GEMM kernel, in a workspace arena, bit-identical to
+// the autograd tape (Forward, which stays the reference the tests compare
+// against). Train holds a copy it repacks before every optimizer step and
+// runs forward, loss and every parameter gradient on it; the samples of each
+// minibatch are sharded across sweep cells and their per-sample gradients
+// are reduced in a fixed sample order, so training is bit-deterministic for
+// a given seed regardless of the worker count. The inference snapshot
+// (compiled.go) holds a forward-only copy, packed once per weight change,
+// and runs it in evaluation mode: a grid sweep encodes the window once,
+// reuses the grid's cached feature-branch rows and shares the encoding's
+// half of the output head's hidden product across all candidates (see
+// DESIGN.md, "Batched inference & kernel blocking"). No entry point (Train,
+// Predict, PredictGrid, EvalLoss, EvalMAPE, AttentionScores) builds an
+// autograd graph or touches tensor.NoGrad.
 package surrogate
 
 import (
@@ -107,9 +107,9 @@ type Model struct {
 	featFF  *nn.FeedForward        // Eq. 5
 	outFF   *nn.FeedForward        // Eq. 6
 
-	// snap is the compiled inference snapshot (compiled.go). It re-validates
-	// itself against the live parameters on every use, so nothing that
-	// changes them has to invalidate it.
+	// snap is the inference snapshot (compiled.go). It re-validates itself
+	// against the live parameters on every use, so nothing that changes them
+	// has to invalidate it.
 	snap atomic.Pointer[compiled]
 }
 
@@ -215,8 +215,8 @@ func (m *Model) normalizeFeaturesRow(dst []float64, cfg lambda.Config) {
 // EncodeSequence runs the sequence branch: embedding, positional encoding,
 // Transformer encoder, mean pooling, and the post-pooling multi-head
 // attention (E1 of Eq. 4). The returned (1, d) tensor is a detached leaf
-// computed by the compiled encoder, bit-identical to the tape forward that
-// training runs (Forward).
+// computed by the compiled network, bit-identical to the tape forward
+// (Forward).
 func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
 	c := m.compiled(nil)
 	ws := getWorkspace(c.encodeFloats(len(seq)))
@@ -225,8 +225,8 @@ func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
 	return e1
 }
 
-// encodeTape is the sequence branch built from autograd ops: the training
-// path and the reference the compiled encoder is tested against.
+// encodeTape is the sequence branch built from autograd ops: the reference
+// the compiled network is tested against.
 func (m *Model) encodeTape(seq []float64) *tensor.Tensor {
 	e := m.embedTape(seq)    // (l, d), Eq. 1 + positional encoding
 	e = m.enc.Forward(e)     // Eq. 2
@@ -246,14 +246,16 @@ func (m *Model) embedTape(seq []float64) *tensor.Tensor {
 	return m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
 }
 
-// encode standardizes seq and runs the compiled sequence branch; the
-// returned encoding lives in ws, which must hold c.encodeFloats(len(seq)).
+// encode standardizes seq and runs the sequence branch in evaluation mode;
+// the returned encoding lives in ws, which must hold c.encodeFloats(len(seq)).
 func (m *Model) encode(c *compiled, ws *workspace, seq []float64) []float64 {
 	if len(seq) == 0 {
 		panic("surrogate: empty sequence")
 	}
-	x := m.normalizeSeqInto(ws.take(len(seq)), seq)
-	return c.encode(ws, x, !m.Cfg.DisablePostAttention)
+	var acts [1]layerActs
+	var post attnActs
+	_, e1 := c.encode(ws, nil, acts[:], &post, m.normalizeSeqInto(ws.take(len(seq)), seq), !m.Cfg.DisablePostAttention)
+	return e1
 }
 
 // headForward combines an encoded sequence with a candidate configuration
@@ -334,7 +336,8 @@ func (m *Model) Predict(seq []float64, cfg lambda.Config) Prediction {
 	e1 := m.encode(c, ws, seq)
 	feats := ws.take(3)
 	m.normalizeFeaturesRow(feats, cfg)
-	p := m.decode(c.headRows(ws, e1, feats, 1), cfg)
+	_, _, _, out := c.head(ws, e1, feats, 1)
+	p := m.decode(out, cfg)
 	putWorkspace(ws)
 	return p
 }
@@ -364,22 +367,26 @@ func (m *Model) PredictGrid(seq []float64, cfgs []lambda.Config) []Prediction {
 // positions, normalized to sum to 1). This is the quantity visualized in
 // Fig. 14 of the paper.
 //
-// Only the layer's input (embedding and positional encoding) and its
-// attention weights are computed, on the tape ops the training forward runs,
-// so the scores are bit-identical to the maps that forward applies. The call
-// mutates nothing — the graph nodes it builds are its own and die with it —
-// so any number of goroutines may call it on one model, beside inference on
-// that model and training on others.
+// Only the layer's input and its attention are computed, on the compiled
+// kernels every forward runs, so the scores are bit-identical to the maps
+// the tape forward applies. The call builds no graph and writes no
+// parameter, so any number of goroutines may call it on one model, beside
+// inference on that model and training on others.
 func (m *Model) AttentionScores(seq []float64) []float64 {
-	x := m.embedTape(seq)
-	agg := make([]float64, len(seq))
-	for _, h := range m.enc.Layers[0].Att.Scores(x, x, nil) {
-		for r := 0; r < h.Rows(); r++ {
-			for c := 0; c < h.Cols(); c++ {
-				agg[c] += h.At(r, c)
-			}
-		}
+	if len(seq) == 0 {
+		panic("surrogate: empty sequence")
 	}
+	c := m.compiled(nil)
+	l, att := len(seq), &c.layers[0].att
+	ws := getWorkspace(l + 2*l*c.dim + att.floats(l, false))
+	x := c.input(ws, m.normalizeSeqInto(ws.take(l), seq))
+	var acts attnActs
+	att.forward(ws, &acts, ws.take(l*c.dim), x, l)
+	agg := make([]float64, l)
+	for i, v := range acts.s { // heads × l×l maps, row-major
+		agg[i%l] += v
+	}
+	putWorkspace(ws)
 	total := 0.0
 	for _, v := range agg {
 		total += v

@@ -230,7 +230,8 @@ func (m *Model) forwardRows(d *Dataset) []float64 {
 		ws.release(mark)
 		m.normalizeFeaturesRow(feats[i*3:(i+1)*3], s.Config)
 	}
-	out := append([]float64(nil), c.headRows(ws, e1, feats, n)...)
+	_, _, _, rows := c.head(ws, e1, feats, n)
+	out := append([]float64(nil), rows...)
 	putWorkspace(ws)
 	return out
 }

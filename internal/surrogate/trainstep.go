@@ -1,19 +1,33 @@
-// The compiled training step: what Train runs per sample. It computes the
-// forward pass, the combined loss and every parameter gradient on plain
-// []float64 buffers — no *tensor.Tensor, no graph, no per-op allocation.
+// The packed network: the one compiled implementation of the surrogate.
+// Train, every inference entry point and the Fig. 14 attention maps run its
+// kernels, on plain []float64 buffers in a workspace arena — no
+// *tensor.Tensor, no graph, no per-op allocation.
 //
-// The weights are packed once per optimizer step into buffers the Train call
-// owns (every Linear in both layouts: W for the forward product, Wᵀ for the
-// input gradient dX = dY·Wᵀ) and shared read-only by every sample of the
-// minibatch. Activations and gradients live in a per-worker arena reserved
-// once per Train call; each sample's gradient lands in its own flat slice,
-// laid out in Params() order.
+// A network owns every buffer it reads: each Linear packed for gemm.Blocked
+// (and, in a training network, Wᵀ packed for the input gradient
+// dX = dY·Wᵀ), and copies of the biases and LayerNorm constants. newNetwork
+// builds one and repack refills it from the live parameters. It has two
+// holders. Train keeps a training network (trainStep) and repacks it before
+// every optimizer step; the samples of a minibatch share it read-only. The
+// inference snapshot (compiled.go) holds a forward-only one, packed once
+// per weight change.
 //
-// The step performs, per value, the same sequence of IEEE-754 operations as
-// the tape (Forward → sampleLoss → tensor.Backward, which stays the
-// reference the tests compare against), so gradients are bit-identical by
-// construction:
+// The forward runs in training mode when the caller passes a dropout stream:
+// dropout draws its masks and every activation backward needs is kept. With
+// no stream it runs in evaluation mode, as the tape does with training off:
+// dropout is the identity and each layer's scratch is released as it goes.
+// A training sample's gradient lands in its own flat slice, laid out in
+// Params() order.
 //
+// Forward and backward perform, per value, the same sequence of IEEE-754
+// operations as the tape (Forward → sampleLoss → tensor.Backward, which
+// stays the reference the tests compare against), so predictions and
+// gradients are bit-identical by construction:
+//
+//   - every product goes through the gemm kernels, whose per-cell
+//     ascending-k, skip-on-zero summation is the repo's floating-point
+//     contract, and the elementwise steps are written in the tape ops' own
+//     expression order.
 //   - matmulBackwardA (dX += dY·Wᵀ, a per-cell sum from +0 in ascending
 //     order) is gemm.Blocked over the packed Wᵀ; skipping a zero dY term
 //     cannot change a sum that starts at +0, for finite weights.
@@ -30,7 +44,7 @@
 //
 // Dropout draws its masks from the per-sample stream in the tape's order
 // (layer by layer, Drop1 then Drop2, row-major) and multiplies by the mask,
-// so zero signs match too. See DESIGN.md, "Compiled training".
+// so zero signs match too. See DESIGN.md, "Layer 3 — the packed network".
 
 package surrogate
 
@@ -85,37 +99,78 @@ func widen(dst, src []float64, rows, cols, c0, w int) {
 	}
 }
 
-// dense is one nn.Linear set up for the training step: the embedded linear
-// holds W packed for the forward and aliases the live bias; wt is Wᵀ packed
-// for the input gradient (nil where the input needs none). gw and gb locate
-// the W and B gradients in a flat per-sample gradient.
+// relu clamps in place as tensor.ReLU does: anything not > 0 (negative zero
+// and NaN included) becomes +0.
+func relu(x []float64) {
+	for i, v := range x {
+		if !(v > 0) {
+			x[i] = 0
+		}
+	}
+}
+
+// softmaxScaled applies tensor.Scale then tensor.Softmax to the rows × cols
+// logits in place.
+func softmaxScaled(x []float64, rows, cols int, scale float64) {
+	for r := 0; r < rows; r++ {
+		row := x[r*cols : (r+1)*cols]
+		maxV := math.Inf(-1)
+		for c := range row {
+			row[c] *= scale
+			if row[c] > maxV {
+				maxV = row[c]
+			}
+		}
+		sum := 0.0
+		for c, v := range row {
+			e := math.Exp(v - maxV)
+			row[c] = e
+			sum += e
+		}
+		inv := 1 / sum
+		for c := range row {
+			row[c] *= inv
+		}
+	}
+}
+
+// dense is weight rows [r0, r0+in) of one nn.Linear — all of them, except in
+// the output head's split — in buffers of its own: w is W packed for the
+// forward product, b a copy of the bias (nil when the block carries none),
+// and wt Wᵀ packed for the input gradient (nil where none is taken). gw and
+// gb locate the W and B gradients in a flat per-sample gradient.
 type dense struct {
-	linear
-	src    *nn.Linear
-	wt     []float64
-	gw, gb int
+	w, b, wt []float64
+	in, out  int
+	src      *nn.Linear
+	r0       int
+	gw, gb   int
 }
 
-func newDense(l *nn.Linear, off map[*tensor.Tensor]int, inputGrad bool) dense {
-	in, out := l.W.Rows(), l.W.Cols()
-	d := dense{
-		linear: linear{w: make([]float64, gemm.PackedLen(in, out)), b: l.B.Data, in: in, out: out},
-		src:    l,
-		gw:     off[l.W],
-		gb:     off[l.B],
-	}
-	if inputGrad {
-		d.wt = make([]float64, gemm.PackedLen(out, in))
-	}
-	return d
-}
-
-// repack packs the live weights; scratch holds at least in×out floats.
+// repack packs the live weights and copies the live bias; scratch holds at
+// least in×out floats when wt is set.
 func (d *dense) repack(scratch []float64) {
-	gemm.Pack(d.w, d.src.W.Data, d.in, d.out)
+	w := d.src.W.Data[d.r0*d.out : (d.r0+d.in)*d.out]
+	gemm.Pack(d.w, w, d.in, d.out)
+	copy(d.b, d.src.B.Data)
 	if d.wt != nil {
-		transpose(scratch, d.src.W.Data, d.in, d.out)
+		transpose(scratch, w, d.in, d.out)
 		gemm.Pack(d.wt, scratch, d.out, d.in)
+	}
+}
+
+// forward sets dst (n×out) = x (n×in) · W + b, as nn.Linear.Forward.
+func (d *dense) forward(dst, x []float64, n int) {
+	gemm.Blocked(dst, x, d.w, 0, n, d.in, d.out)
+	d.addBias(dst, n)
+}
+
+func (d *dense) addBias(dst []float64, n int) {
+	for r := 0; r < n; r++ {
+		row := dst[r*d.out : (r+1)*d.out]
+		for c, b := range d.b {
+			row[c] += b
+		}
 	}
 }
 
@@ -132,10 +187,12 @@ func (d *dense) backward(ws *workspace, grad, x, dy, dx []float64, n int) {
 	transpose(xt, x, n, d.in)
 	gemm.Pack(pdy, dy, n, d.out)
 	gemm.BlockedAcc(grad[d.gw:d.gw+d.in*d.out], xt, pdy, 0, d.in, n, d.out)
-	gb := grad[d.gb : d.gb+d.out]
-	for r := 0; r < n; r++ {
-		for c, g := range dy[r*d.out : (r+1)*d.out] {
-			gb[c] += g
+	if d.b != nil {
+		gb := grad[d.gb : d.gb+d.out]
+		for r := 0; r < n; r++ {
+			for c, g := range dy[r*d.out : (r+1)*d.out] {
+				gb[c] += g
+			}
 		}
 	}
 	if dx != nil {
@@ -154,15 +211,22 @@ func reluBackward(dy, h []float64) {
 	}
 }
 
-// norm is one nn.LayerNorm, reading the live gain and bias.
+// norm is one nn.LayerNorm, with copies of its gain and bias.
 type norm struct {
 	gain, bias []float64
 	eps        float64
+	src        *nn.LayerNorm
 	gg, gb     int
 }
 
 func newNorm(n *nn.LayerNorm, off map[*tensor.Tensor]int) norm {
-	return norm{gain: n.Gain.Data, bias: n.Bias.Data, eps: n.Eps, gg: off[n.Gain], gb: off[n.Bias]}
+	m := len(n.Gain.Data)
+	return norm{gain: make([]float64, m), bias: make([]float64, m), eps: n.Eps, src: n, gg: off[n.Gain], gb: off[n.Bias]}
+}
+
+func (n *norm) repack() {
+	copy(n.gain, n.src.Gain.Data)
+	copy(n.bias, n.src.Bias.Data)
 }
 
 // forward sets out = LayerNorm(x) row by row (in place when out is x) and
@@ -230,15 +294,6 @@ type attn struct {
 	scale      float64
 }
 
-func newAttn(a *nn.MultiHeadAttention, off map[*tensor.Tensor]int) attn {
-	hd := a.Dim / a.Heads
-	return attn{
-		q: newDense(a.Wq, off, true), k: newDense(a.Wk, off, true),
-		v: newDense(a.Wv, off, true), o: newDense(a.Wo, off, true),
-		heads: a.Heads, hd: hd, scale: 1 / math.Sqrt(float64(hd)),
-	}
-}
-
 func (a *attn) repack(scratch []float64) {
 	a.q.repack(scratch)
 	a.k.repack(scratch)
@@ -253,14 +308,15 @@ type attnActs struct {
 	cat        []float64 // l×dim concatenated head outputs
 }
 
-// floats bounds what forward keeps plus the larger of its own and
-// backward's scratch.
-func (a *attn) floats(l int) int {
+// floats bounds what forward keeps plus its own scratch and, with backward
+// set, the larger of that and backward's.
+func (a *attn) floats(l int, backward bool) int {
 	d, hd := a.o.in, a.hd
-	kept := 4*l*d + a.heads*l*l
-	fwd := 6 * l * hd
-	bwd := 7*l*d + 9*l*hd + 3*l*l // dcat, dq/dk/dv, per-head scratch, then tmp and dense.backward's
-	return kept + max(fwd, bwd)
+	scratch := 6 * l * hd
+	if backward {
+		scratch = max(scratch, 7*l*d+9*l*hd+3*l*l) // dcat, dq/dk/dv, per-head scratch, then tmp and dense.backward's
+	}
+	return 4*l*d + a.heads*l*l + scratch
 }
 
 // forward sets dst (l×dim) to the self-attention of x (l×dim), keeping its
@@ -355,7 +411,7 @@ func (a *attn) backward(ws *workspace, grad []float64, acts *attnActs, x, dy, dx
 	ws.release(mark)
 }
 
-// layer is one nn.EncoderLayer in training mode.
+// layer is one nn.EncoderLayer.
 type layer struct {
 	att          attn
 	ff1, ff2     dense
@@ -363,11 +419,19 @@ type layer struct {
 	p            float64 // dropout probability of Drop1 and Drop2
 }
 
+func (e *layer) repack(scratch []float64) {
+	e.att.repack(scratch)
+	e.ff1.repack(scratch)
+	e.ff2.repack(scratch)
+	e.norm1.repack()
+	e.norm2.repack()
+}
+
 // layerActs is what one encoder layer forward keeps for its backward.
 type layerActs struct {
 	x            []float64 // input, l×dim
 	att          attnActs
-	mask1, mask2 []float64 // dropout masks; nil when p is 0
+	mask1, mask2 []float64 // dropout masks; nil when none was drawn
 	xhat1, inv1  []float64
 	x1           []float64 // LayerNorm1 output
 	h            []float64 // ReLU(x1·W1 + b1), l×ffHidden
@@ -375,11 +439,15 @@ type layerActs struct {
 	out          []float64 // LayerNorm2 output
 }
 
-func (e *layer) floats(l int) int {
+// floats bounds what forward keeps plus its scratch and, with backward set,
+// backward's.
+func (e *layer) floats(l int, backward bool) int {
 	d, f := e.att.o.in, e.ff1.out
-	kept := 7*l*d + 2*l + l*f
-	bwd := 4*l*d + l*f + max(e.ff1.backwardFloats(l), e.ff2.backwardFloats(l), d)
-	return kept + e.att.floats(l) + bwd
+	n := 7*l*d + 2*l + l*f + e.att.floats(l, backward)
+	if backward {
+		n += 4*l*d + l*f + max(e.ff1.backwardFloats(l), e.ff2.backwardFloats(l), d)
+	}
+	return n
 }
 
 // dropout draws a mask into mask as nn.Dropout does (keep with probability
@@ -398,13 +466,14 @@ func dropout(rng *rand.Rand, p float64, mask, x, base []float64) {
 }
 
 // forward runs the layer on x (l×dim), keeping its activations in a; the
-// output is a.out.
+// output is a.out. Dropout draws from rng; with rng nil it is the identity.
 func (e *layer) forward(ws *workspace, a *layerActs, rng *rand.Rand, x []float64, l int) {
 	d := e.att.o.in
+	drop := rng != nil && e.p > 0
 	a.x = x
 	a.x1 = ws.take(l * d)
 	e.att.forward(ws, &a.att, a.x1, x, l)
-	if e.p > 0 {
+	if drop {
 		a.mask1 = ws.take(l * d)
 		dropout(rng, e.p, a.mask1, a.x1, x)
 	} else {
@@ -419,7 +488,7 @@ func (e *layer) forward(ws *workspace, a *layerActs, rng *rand.Rand, x []float64
 	relu(a.h)
 	a.out = ws.take(l * d)
 	e.ff2.forward(a.out, a.h, l)
-	if e.p > 0 {
+	if drop {
 		a.mask2 = ws.take(l * d)
 		dropout(rng, e.p, a.mask2, a.out, a.x1)
 	} else {
@@ -466,6 +535,192 @@ func (e *layer) backward(ws *workspace, grad []float64, a *layerActs, dy, dx []f
 	}
 	e.att.backward(ws, grad, &a.att, a.x, da, dx, l)
 	ws.release(mark)
+}
+
+// network is the packed form of a Model. It owns every buffer its kernels
+// read except the constant positional table.
+type network struct {
+	dim            int
+	pos            *nn.PositionalEncoding
+	embed          dense
+	layers         []layer
+	post           attn
+	feat1, feat2   dense     // featFF
+	outTop, outBot dense     // outFF.L1 split at row dim: the e1 half and the e2 half (which carries the bias)
+	out2           dense     // outFF.L2
+	scratch        []float64 // repack's buffer for Wᵀ; empty when forward-only
+}
+
+// newNetwork sets up the packed form of m; repack fills it. off locates
+// every parameter in a flat per-sample gradient, for training; with off nil
+// the network is forward-only and packs no Wᵀ.
+func newNetwork(m *Model, off map[*tensor.Tensor]int) *network {
+	d, largest := m.Cfg.EmbedDim, 0
+	block := func(l *nn.Linear, r0, in int, bias, inputGrad bool) dense {
+		out := l.W.Cols()
+		b := dense{w: make([]float64, gemm.PackedLen(in, out)), in: in, out: out, src: l, r0: r0, gw: off[l.W] + r0*out, gb: off[l.B]}
+		if bias {
+			b.b = make([]float64, out)
+		}
+		if inputGrad && off != nil {
+			b.wt = make([]float64, gemm.PackedLen(out, in))
+			largest = max(largest, in*out)
+		}
+		return b
+	}
+	full := func(l *nn.Linear, inputGrad bool) dense { return block(l, 0, l.W.Rows(), true, inputGrad) }
+	att := func(a *nn.MultiHeadAttention) attn {
+		hd := a.Dim / a.Heads
+		return attn{
+			q: full(a.Wq, true), k: full(a.Wk, true), v: full(a.Wv, true), o: full(a.Wo, true),
+			heads: a.Heads, hd: hd, scale: 1 / math.Sqrt(float64(hd)),
+		}
+	}
+	n := &network{
+		dim:    d,
+		pos:    m.pos,
+		embed:  full(m.embed, false),
+		layers: make([]layer, len(m.enc.Layers)),
+		post:   att(m.postAtt),
+		feat1:  full(m.featFF.L1, false),
+		feat2:  full(m.featFF.L2, true),
+		outTop: block(m.outFF.L1, 0, d, false, true),
+		outBot: block(m.outFF.L1, d, d, true, true),
+		out2:   full(m.outFF.L2, true),
+	}
+	for i, l := range m.enc.Layers {
+		n.layers[i] = layer{
+			att:   att(l.Att),
+			ff1:   full(l.FF.L1, true),
+			ff2:   full(l.FF.L2, true),
+			norm1: newNorm(l.Norm1, off),
+			norm2: newNorm(l.Norm2, off),
+			p:     l.Drop1.P,
+		}
+	}
+	n.scratch = make([]float64, largest)
+	return n
+}
+
+// repack refills every buffer from the live parameters.
+func (n *network) repack() {
+	n.embed.repack(n.scratch)
+	for i := range n.layers {
+		n.layers[i].repack(n.scratch)
+	}
+	n.post.repack(n.scratch)
+	n.feat1.repack(n.scratch)
+	n.feat2.repack(n.scratch)
+	n.outTop.repack(n.scratch)
+	n.outBot.repack(n.scratch)
+	n.out2.repack(n.scratch)
+}
+
+// input embeds the standardized window xs (Eq. 1) and adds the positional
+// encoding: the encoder's l×dim input, in ws.
+func (n *network) input(ws *workspace, xs []float64) []float64 {
+	l := len(xs)
+	x := ws.take(l * n.dim)
+	n.embed.forward(x, xs, l)
+	for i, p := range n.pos.Rows(l) {
+		x[i] += p
+	}
+	return x
+}
+
+// encodeFloats is the arena standardizing and encoding a window of length l
+// takes in evaluation mode. Layers share one shape and release their
+// scratch in turn, so the peak is one layer's.
+func (n *network) encodeFloats(l int) int {
+	f := l + l*n.dim + 2*n.dim + n.post.floats(1, false)
+	if len(n.layers) > 0 {
+		f += n.layers[0].floats(l, false)
+	}
+	return f
+}
+
+// encode runs the sequence branch on the standardized window xs: input, the
+// encoder layers (Eq. 2), mean pooling and, with postAttention set, the
+// post-pooling attention (Eq. 4). It returns the pooled vector ep and the
+// encoding e1 (ep itself without the post-attention), both in ws.
+//
+// With a dropout stream rng it runs in training mode: acts[i] keeps layer
+// i's activations and post the post-attention's, for backward. With rng nil
+// it runs in evaluation mode: every layer runs on the one record acts[0],
+// its output is copied back into the input and its scratch released.
+func (n *network) encode(ws *workspace, rng *rand.Rand, acts []layerActs, post *attnActs, xs []float64, postAttention bool) (ep, e1 []float64) {
+	l, d := len(xs), n.dim
+	x := n.input(ws, xs)
+	for i := range n.layers {
+		if rng != nil {
+			n.layers[i].forward(ws, &acts[i], rng, x, l)
+			x = acts[i].out
+			continue
+		}
+		mark := ws.mark()
+		n.layers[i].forward(ws, &acts[0], nil, x, l)
+		copy(x, acts[0].out)
+		ws.release(mark)
+	}
+	ep = ws.take(d)
+	for c := range ep {
+		ep[c] = 0
+	}
+	for r := 0; r < l; r++ {
+		for c, v := range x[r*d : (r+1)*d] {
+			ep[c] += v
+		}
+	}
+	inv := 1 / float64(l)
+	for c := range ep {
+		ep[c] *= inv
+	}
+	if !postAttention {
+		return ep, ep
+	}
+	e1 = ws.take(d)
+	n.post.forward(ws, post, e1, ep, 1)
+	return ep, e1
+}
+
+// headFloats is the arena a head pass over rows rows takes.
+func (n *network) headFloats(rows int) int {
+	return rows*(n.feat1.out+n.dim+n.outTop.out+n.out2.out) + n.outTop.out
+}
+
+// features runs the feature branch (Eq. 5) over rows standardized (M, B, T)
+// rows feats: fh gets its hidden ReLU rows and e2 (rows×dim) its output.
+func (n *network) features(fh, e2, feats []float64, rows int) {
+	n.feat1.forward(fh, feats, rows)
+	relu(fh)
+	n.feat2.forward(e2, fh, rows)
+}
+
+// head runs the feature branch and the output head (Eq. 6) over rows rows,
+// each with its own encoding (e1, rows×dim) and standardized features
+// (feats, rows×3). It returns, in ws, the feature branch's hidden and output
+// rows fh and e2, the head's hidden rows h and the rows×OutputDim scaled
+// outputs.
+func (n *network) head(ws *workspace, e1, feats []float64, rows int) (fh, e2, h, out []float64) {
+	fh, e2 = ws.take(rows*n.feat1.out), ws.take(rows*n.dim)
+	n.features(fh, e2, feats, rows)
+	h = ws.take(rows * n.outTop.out)
+	n.outTop.forward(h, e1, rows)
+	return fh, e2, h, n.headTail(ws, h, e2, rows)
+}
+
+// headTail finishes Eq. 6 from hidden accumulators h (rows×hidden) that
+// already hold each row's e1·W1[:dim] partial: the e2 half of the product
+// resumes every cell's sum where the e1 half stopped, so h ends up with
+// exactly the bits of [e1|e2]·W1, then takes the bias and the ReLU. It
+// returns the scaled outputs, in ws.
+func (n *network) headTail(ws *workspace, h, e2 []float64, rows int) []float64 {
+	gemm.BlockedAcc(h, e2, n.outBot.w, 0, rows, n.dim, n.outBot.out)
+	n.outBot.addBias(h, rows)
+	relu(h)
+	out := ws.take(rows * n.out2.out)
+	n.out2.forward(out, h, rows)
+	return out
 }
 
 // lossTerms is one sample's combined loss on plain floats: tensor.MAPELoss
@@ -554,81 +809,40 @@ func (t *lossTerms) backward(dpred, pred, target, wts []float64, cfg loss.Config
 	}
 }
 
-// trainStep is the model set up for compiled training: every layer with its
-// packed weights, and each parameter's offset in a flat gradient. It is
-// built once per Train call; repack refreshes the packed weights from the
-// live parameters before every optimizer step, after which the step is
+// trainStep is Train's training network and each parameter's offset in a
+// flat gradient. It is built once per Train call; repack refreshes it from
+// the live parameters before every optimizer step, after which the step is
 // read-only and shared by every worker.
 type trainStep struct {
-	m       *Model
-	params  []*tensor.Tensor
-	size    int // flat gradient length
-	scratch []float64
-
-	dim                    int
-	embed                  dense
-	layers                 []layer
-	post                   attn
-	feat1, feat2, out1, o2 dense
+	*network
+	m      *Model
+	params []*tensor.Tensor
+	size   int // flat gradient length
 }
 
 func newTrainStep(m *Model) *trainStep {
-	st := &trainStep{m: m, params: m.Params(), dim: m.Cfg.EmbedDim}
+	st := &trainStep{m: m, params: m.Params()}
 	off := make(map[*tensor.Tensor]int, len(st.params))
-	largest := 0
 	for _, p := range st.params {
 		off[p] = st.size
 		st.size += len(p.Data)
-		largest = max(largest, len(p.Data))
 	}
-	st.scratch = make([]float64, largest)
-	st.embed = newDense(m.embed, off, false)
-	for _, l := range m.enc.Layers {
-		st.layers = append(st.layers, layer{
-			att:   newAttn(l.Att, off),
-			ff1:   newDense(l.FF.L1, off, true),
-			ff2:   newDense(l.FF.L2, off, true),
-			norm1: newNorm(l.Norm1, off),
-			norm2: newNorm(l.Norm2, off),
-			p:     l.Drop1.P,
-		})
-	}
-	st.post = newAttn(m.postAtt, off)
-	st.feat1 = newDense(m.featFF.L1, off, false)
-	st.feat2 = newDense(m.featFF.L2, off, true)
-	st.out1 = newDense(m.outFF.L1, off, true)
-	st.o2 = newDense(m.outFF.L2, off, true)
+	st.network = newNetwork(m, off)
 	return st
-}
-
-// repack packs every weight matrix from the live parameters.
-func (st *trainStep) repack() {
-	st.embed.repack(st.scratch)
-	for i := range st.layers {
-		e := &st.layers[i]
-		e.att.repack(st.scratch)
-		e.ff1.repack(st.scratch)
-		e.ff2.repack(st.scratch)
-	}
-	st.post.repack(st.scratch)
-	st.feat1.repack(st.scratch)
-	st.feat2.repack(st.scratch)
-	st.out1.repack(st.scratch)
-	st.o2.repack(st.scratch)
 }
 
 // floats bounds the arena one step over a window of length l takes.
 func (st *trainStep) floats(l int) int {
-	d, f1, f2, out := st.dim, st.feat1.out, st.out1.out, st.o2.out
+	d, f, hid, out := st.dim, st.feat1.out, st.outTop.out, st.out2.out
 	n := l + 3*l*d // window, embedding, and the gradient flowing between layers
 	for i := range st.layers {
-		n += st.layers[i].floats(l)
+		n += st.layers[i].floats(l, true)
 	}
-	n += 2*d + st.post.floats(1) // pooled vector and e1
-	n += 3 + f1 + 2*d + f2 + out // feature branch and head
-	n += 3 * out                 // target, weights, prediction gradient
-	n += f2 + 2*d + f1 + d       // head and feature-branch gradients
-	n += max(st.o2.backwardFloats(1), st.out1.backwardFloats(1), st.feat2.backwardFloats(1), st.feat1.backwardFloats(1))
+	n += 2*d + st.post.floats(1, true) // pooled vector and e1
+	n += 3 + f + d + hid + out         // feature branch and head
+	n += 3 * out                       // target, weights, prediction gradient
+	n += hid + 2*d + f + d             // head and feature-branch gradients
+	n += max(st.out2.backwardFloats(1), st.outBot.backwardFloats(1), st.feat2.backwardFloats(1), st.feat1.backwardFloats(1))
 	return n
 }
 
@@ -674,46 +888,11 @@ func (st *trainStep) run(w *stepWorker, s Sample, cfg TrainConfig, scale float64
 
 	// Forward.
 	xs := m.normalizeSeqInto(ws.take(l), s.Seq)
-	x := ws.take(l * d)
-	st.embed.forward(x, xs, l)
-	for i, p := range m.pos.Rows(l) {
-		x[i] += p
-	}
-	for i := range st.layers {
-		st.layers[i].forward(ws, &w.acts[i], w.rng, x, l)
-		x = w.acts[i].out
-	}
-	ep := ws.take(d)
-	for c := range ep {
-		ep[c] = 0
-	}
-	for r := 0; r < l; r++ {
-		for c, v := range x[r*d : (r+1)*d] {
-			ep[c] += v
-		}
-	}
-	inv := 1 / float64(l)
-	for c := range ep {
-		ep[c] *= inv
-	}
-	e1 := ep
-	if !m.Cfg.DisablePostAttention {
-		e1 = ws.take(d)
-		st.post.forward(ws, &w.post, e1, ep, 1)
-	}
+	postAttention := !m.Cfg.DisablePostAttention
+	ep, e1 := st.encode(ws, w.rng, w.acts, &w.post, xs, postAttention)
 	feats := ws.take(3)
 	m.normalizeFeaturesRow(feats, s.Config)
-	fh := ws.take(st.feat1.out)
-	st.feat1.forward(fh, feats, 1)
-	relu(fh)
-	cat := ws.take(2 * d)
-	copy(cat[:d], e1)
-	st.feat2.forward(cat[d:], fh, 1)
-	oh := ws.take(st.out1.out)
-	st.out1.forward(oh, cat, 1)
-	relu(oh)
-	pred := ws.take(st.o2.out)
-	st.o2.forward(pred, oh, 1)
+	fh, e2, h, pred := st.head(ws, e1, feats, 1)
 
 	// Loss.
 	out := len(pred)
@@ -725,23 +904,25 @@ func (st *trainStep) run(w *stepWorker, s Sample, cfg TrainConfig, scale float64
 	// Backward.
 	dpred := ws.take(out)
 	terms.backward(dpred, pred, target, wts, cfg.Loss, scale)
-	doh := ws.take(st.out1.out)
-	st.o2.backward(ws, grad, oh, dpred, doh, 1)
-	reluBackward(doh, oh)
-	dcat := ws.take(2 * d)
-	st.out1.backward(ws, grad, cat, doh, dcat, 1)
+	dh := ws.take(st.outTop.out)
+	st.out2.backward(ws, grad, h, dpred, dh, 1)
+	reluBackward(dh, h)
+	de1, de2 := ws.take(d), ws.take(d)
+	st.outBot.backward(ws, grad, e2, dh, de2, 1)
+	st.outTop.backward(ws, grad, e1, dh, de1, 1)
 	dfh := ws.take(st.feat1.out)
-	st.feat2.backward(ws, grad, fh, dcat[d:], dfh, 1)
+	st.feat2.backward(ws, grad, fh, de2, dfh, 1)
 	reluBackward(dfh, fh)
 	st.feat1.backward(ws, grad, feats, dfh, nil, 1)
-	dep := dcat[:d]
-	if !m.Cfg.DisablePostAttention {
+	dep := de1
+	if postAttention {
 		dep = ws.take(d)
 		for c := range dep {
 			dep[c] = 0
 		}
-		st.post.backward(ws, grad, &w.post, ep, dcat[:d], dep, 1)
+		st.post.backward(ws, grad, &w.post, ep, de1, dep, 1)
 	}
+	inv := 1 / float64(l)
 	dx := ws.take(l * d)
 	for r := 0; r < l; r++ {
 		for c, g := range dep {
