@@ -5,7 +5,8 @@ GO ?= go
 
 # RACE_PKGS covers the packages that exercise the concurrent code paths:
 # the serial tensor and blocked/packed gemm kernels (whose pooled pack
-# buffers are shared across goroutines), the compiled training step's
+# buffers are shared across goroutines) and the linalg products routed
+# through them, the compiled training step's
 # sweep-cell minibatch shards (packed weights shared read-only, one arena
 # per cell), sweep-parallel dataset labelling and the compiled
 # inference snapshot shared by concurrent sweeps, the optimizer (whose
@@ -27,7 +28,7 @@ GO ?= go
 # cell-parallel figures — training cells and fig14's shared-model cells
 # among them — must stay invariant under the detector's scheduling
 # perturbation).
-RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/surrogate/... ./internal/optimizer/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
+RACE_PKGS = ./internal/tensor/... ./internal/gemm/... ./internal/linalg/... ./internal/surrogate/... ./internal/optimizer/... ./internal/batchopt/... ./internal/gateway/... ./internal/fault/... ./internal/obs/... ./internal/loadgen/... ./internal/workload/... ./internal/replay/... ./internal/sweep/... ./internal/qsim/... ./internal/fleet/...
 
 # Per-package coverage floors enforced by `make cover` (see the cover target).
 COVER_FLOOR_GATEWAY = 80
@@ -96,7 +97,7 @@ loadgen-smoke:
 ## give the tape's loss and gradients bit for bit); FuzzPredictGridMatchesPredict
 ## hammers inference on the same packed network (a random tiny architecture,
 ## window and grid must give the tape forward's predictions bit for bit, also
-## after a weight write).
+## on the model Load makes of a Save with one weight changed).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=20s -run='^$$' ./internal/qsim
 	$(GO) test -fuzz=FuzzGroundTruthBest -fuzztime=20s -run='^$$' ./internal/qsim

@@ -38,7 +38,7 @@ import (
 func main() {
 	loop := flag.String("loop", "closed", "traffic loop: closed | open")
 	planPath := flag.String("plan", "", "fleet plan JSON file: drive a multi-class fleet with per-class Poisson streams (open loop)")
-	shards := flag.Int("shards", 0, "gateway shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "gateway shard count (0 = 1)")
 	sweepList := flag.String("sweep", "", "comma-separated shard counts to sweep (overrides -shards)")
 	workers := flag.Int("workers", 0, "open-loop sweep fan-out workers (0 = GOMAXPROCS; rows are identical at any count)")
 	clients := flag.Int("clients", 8, "closed-loop concurrent clients")

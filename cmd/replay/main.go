@@ -50,7 +50,7 @@ func main() {
 	hours := flag.Int("hours", 0, "paper-hours for -name (0 = workload default)")
 	hourSeconds := flag.Float64("hour-seconds", 0, "simulated seconds per paper-hour for -name (0 = default)")
 	seed := flag.Int64("seed", 0, "generation seed for -name (0 = default)")
-	shards := flag.Int("shards", 1, "gateway shard count (0 = GOMAXPROCS; reports depend on it)")
+	shards := flag.Int("shards", 1, "gateway shard count (0 = 1; reports depend on it)")
 	slo := flag.Float64("slo", 0.1, "latency SLO in seconds (goodput threshold)")
 	memory := flag.Float64("memory", 2048, "serving configuration: memory MB")
 	batch := flag.Int("batch", 4, "serving configuration: batch size B")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"deepbat/internal/loss"
 	"deepbat/internal/surrogate"
 	"deepbat/internal/sweep"
 )
@@ -120,7 +119,6 @@ func (l *Lab) trainVariant(mutateModel func(*surrogate.ModelConfig), mutateTrain
 	tc := surrogate.DefaultTrainConfig()
 	tc.Epochs = l.Cfg.TrainEpochs
 	tc.SLO = l.Cfg.SLO
-	tc.Loss = loss.Default()
 	if mutateTrain != nil {
 		mutateTrain(&tc)
 	}

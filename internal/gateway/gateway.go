@@ -41,7 +41,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,9 +176,8 @@ type Config struct {
 	// Resilience configures retries, deadlines, and the circuit breaker.
 	Resilience Resilience
 	// Shards is the number of independent batcher shards intake is hashed
-	// across (0 = GOMAXPROCS). Shards = 1 reproduces the single-queue
-	// gateway bit for bit; batching-sensitive tests pin it. Each shard
-	// accumulates its own batches, so with P shards a size-B dispatch
+	// across (0 = 1: the one (B, T) buffer the controller models). Each
+	// shard accumulates its own batches, so with P shards a size-B dispatch
 	// needs B same-shard arrivals, not B total.
 	Shards int
 	// VirtualTimers means the caller drives batch timeouts through
@@ -387,10 +385,7 @@ func New(backend Backend, decide DecideFunc, conf Config) (*Gateway, error) {
 	if _, manual := conf.Clock.(*obs.ManualClock); manual && !conf.VirtualTimers {
 		return nil, errors.New("gateway: a manual clock needs VirtualTimers (the caller drives FlushDue)")
 	}
-	nShards := conf.Shards
-	if nShards == 0 {
-		nShards = runtime.GOMAXPROCS(0)
-	}
+	nShards := max(conf.Shards, 1)
 	reg := conf.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()

@@ -79,10 +79,10 @@ func TestSingleRequestFlushedByTimeout(t *testing.T) {
 }
 
 func TestBatchFillsByCount(t *testing.T) {
-	// Shards: 1 — this pins the B-or-T rule of one buffer. The default
-	// (0 = GOMAXPROCS) hashes the B requests across shards on a multi-core
-	// box, so no single buffer reaches B; whether that default is right is
-	// ROADMAP item 1, not this test's question.
+	// Shards: 1 — this pins the B-or-T rule of one buffer. With more shards
+	// the B requests hash across them, so no single buffer reaches B; how
+	// many shards a gateway should run is ROADMAP item 5(c), not this
+	// test's question.
 	g, err := New(fastBackend(), nil, Config{
 		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 5},
 		SLO:     0.1,

@@ -115,8 +115,8 @@ func TestMetricsEndpointScrapes(t *testing.T) {
 
 func TestDispatchCauseCounters(t *testing.T) {
 	// Size-triggered: B=2, long timeout. Shards: 1 because the dispatch cause
-	// is a property of one buffer (see TestBatchFillsByCount; ROADMAP item 1
-	// owns the Shards: 0 default).
+	// is a property of one buffer (see TestBatchFillsByCount; ROADMAP item
+	// 5(c) owns the shard count).
 	g, err := New(fastBackend(), nil, Config{
 		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 2, TimeoutS: 5},
 		SLO:     0.1,

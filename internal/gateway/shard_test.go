@@ -63,6 +63,21 @@ func TestShardOfIgnoresGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestZeroConfigIsOneShard: a Config that leaves Shards zero (setting only
+// the serving configuration New requires) runs one (B, T) buffer, the one
+// the controller models, however many cores the process may use.
+func TestZeroConfigIsOneShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := New(fastBackend(), nil, Config{Initial: lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	if got := g.Shards(); got != 1 {
+		t.Fatalf("a Config with zero Shards runs %d shards under GOMAXPROCS 4, want 1", got)
+	}
+}
+
 // TestShardOfCoversAllShards checks the hash actually spreads: over a modest
 // ID range every shard receives traffic, and single-shard routing is always
 // shard 0.

@@ -35,7 +35,7 @@ import (
 type Config struct {
 	// Initial is the serving configuration (zero value: 2048 MB, B=1).
 	Initial lambda.Config
-	// Shards is the gateway shard count (0 = GOMAXPROCS).
+	// Shards is the gateway shard count (0 = 1).
 	Shards int
 	// SLO is the latency objective goodput is judged against, in seconds.
 	SLO float64

@@ -1,6 +1,8 @@
-// Package opt implements the gradient-descent optimizers used to train the
-// DeepBAT surrogate model: plain SGD (with optional momentum) and Adam with
-// bias correction, plus global-norm gradient clipping.
+// Package opt implements the optimizer used to train the DeepBAT surrogate
+// model: Adam with bias correction, plus global-norm gradient clipping.
+// FlatAdam steps one flat parameter slice (the surrogate's parameter block);
+// Adam steps a set of parameter tensors (the autograd tape's) with the same
+// per-element update.
 package opt
 
 import (
@@ -9,157 +11,100 @@ import (
 	"deepbat/internal/tensor"
 )
 
-// Optimizer updates a fixed set of parameter tensors from their accumulated
-// gradients.
-type Optimizer interface {
-	// Step applies one update using the current gradients.
-	Step()
-	// ZeroGrad clears all parameter gradients.
-	ZeroGrad()
-	// SetLR changes the learning rate.
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
+// FlatAdam is the Adam optimizer (Kingma & Ba) over one flat parameter
+// slice, with bias-corrected first and second moment estimates, the
+// optimizer used by the paper (lr = 1e-3).
+type FlatAdam struct {
+	lr, beta1, beta2, eps float64
+	t                     int
+	m, v                  []float64
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	params   []*tensor.Tensor
-	lr       float64
-	momentum float64
-	velocity [][]float64
+// NewFlatAdam returns an Adam optimizer over n parameters with the standard
+// defaults beta1=0.9, beta2=0.999, eps=1e-8.
+func NewFlatAdam(n int, lr float64) *FlatAdam {
+	return &FlatAdam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: make([]float64, n), v: make([]float64, n)}
 }
 
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*tensor.Tensor, lr, momentum float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float64, p.NumEl())
-		}
-	}
-	return s
+// Step applies one update to params from grad, both of the length the
+// optimizer was made for.
+func (a *FlatAdam) Step(params, grad []float64) {
+	c1, c2 := a.next()
+	a.update(params, grad, 0, c1, c2)
 }
 
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if s.momentum != 0 {
-			v := s.velocity[i]
-			for j := range p.Data {
-				v[j] = s.momentum*v[j] + p.Grad[j]
-				p.Data[j] -= s.lr * v[j]
-			}
-		} else {
-			for j := range p.Data {
-				p.Data[j] -= s.lr * p.Grad[j]
-			}
-		}
+// next advances the step count and returns its bias corrections.
+func (a *FlatAdam) next() (c1, c2 float64) {
+	a.t++
+	return 1 - math.Pow(a.beta1, float64(a.t)), 1 - math.Pow(a.beta2, float64(a.t))
+}
+
+// update applies the per-element Adam update to p from g, with p's moments
+// at [off, off+len(p)).
+func (a *FlatAdam) update(p, g []float64, off int, c1, c2 float64) {
+	m, v := a.m[off:off+len(p)], a.v[off:off+len(p)]
+	for j, gj := range g[:len(p)] {
+		m[j] = a.beta1*m[j] + (1-a.beta1)*gj
+		v[j] = a.beta2*v[j] + (1-a.beta2)*gj*gj
+		mh := m[j] / c1
+		vh := v[j] / c2
+		p[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
 	}
 }
 
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias-corrected first and
-// second moment estimates, the optimizer used by the paper (lr = 1e-3).
+// Adam is FlatAdam over a set of parameter tensors, stepping each from its
+// accumulated gradient; their moments lie end to end in tensor order.
 type Adam struct {
 	params []*tensor.Tensor
-	lr     float64
-	beta1  float64
-	beta2  float64
-	eps    float64
-	t      int
-	m, v   [][]float64
+	flat   *FlatAdam
 }
 
-// NewAdam returns an Adam optimizer with the standard defaults
-// beta1=0.9, beta2=0.999, eps=1e-8.
+// NewAdam returns an Adam optimizer over params with the defaults of
+// NewFlatAdam.
 func NewAdam(params []*tensor.Tensor, lr float64) *Adam {
-	a := &Adam{params: params, lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
-	for i, p := range params {
-		a.m[i] = make([]float64, p.NumEl())
-		a.v[i] = make([]float64, p.NumEl())
+	n := 0
+	for _, p := range params {
+		n += p.NumEl()
 	}
-	return a
+	return &Adam{params: params, flat: NewFlatAdam(n, lr)}
 }
 
-// Step implements Optimizer.
+// Step applies one update using the current gradients.
 func (a *Adam) Step() {
-	a.t++
-	c1 := 1 - math.Pow(a.beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.beta2, float64(a.t))
-	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j := range p.Data {
-			g := p.Grad[j]
-			m[j] = a.beta1*m[j] + (1-a.beta1)*g
-			v[j] = a.beta2*v[j] + (1-a.beta2)*g*g
-			mh := m[j] / c1
-			vh := v[j] / c2
-			p.Data[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
-		}
+	c1, c2 := a.flat.next()
+	off := 0
+	for _, p := range a.params {
+		a.flat.update(p.Data, p.Grad, off, c1, c2)
+		off += len(p.Data)
 	}
 }
 
-// ZeroGrad implements Optimizer.
+// ZeroGrad clears all parameter gradients.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {
 		p.ZeroGrad()
 	}
 }
 
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
-
-// GradNorm returns the global L2 norm of the gradients of params without
-// modifying them.
-func GradNorm(params []*tensor.Tensor) float64 {
+// GradNorm returns the L2 norm of the flat gradient g, summing the squares
+// in order.
+func GradNorm(g []float64) float64 {
 	total := 0.0
-	for _, p := range params {
-		for _, g := range p.Grad {
-			total += g * g
-		}
+	for _, v := range g {
+		total += v * v
 	}
 	return math.Sqrt(total)
 }
 
-// ClipGradNorm rescales the gradients of params so their global L2 norm does
-// not exceed maxNorm. It returns the pre-clipping norm.
-func ClipGradNorm(params []*tensor.Tensor, maxNorm float64) float64 {
-	norm := GradNorm(params)
+// ClipGradNorm rescales g so its L2 norm does not exceed maxNorm. It returns
+// the pre-clipping norm.
+func ClipGradNorm(g []float64, maxNorm float64) float64 {
+	norm := GradNorm(g)
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
-		for _, p := range params {
-			for j := range p.Grad {
-				p.Grad[j] *= scale
-			}
+		for j := range g {
+			g[j] *= scale
 		}
 	}
 	return norm
-}
-
-// StepDecay returns the learning rate after applying multiplicative decay
-// gamma every stepSize epochs: lr0 * gamma^(epoch/stepSize).
-func StepDecay(lr0, gamma float64, stepSize, epoch int) float64 {
-	if stepSize <= 0 {
-		return lr0
-	}
-	return lr0 * math.Pow(gamma, float64(epoch/stepSize))
 }

@@ -46,7 +46,7 @@ type Config struct {
 	// T=0.1 s — a batching configuration, so the virtual-timer path is
 	// actually exercised).
 	Initial lambda.Config
-	// Shards is the gateway shard count (0 = GOMAXPROCS). Reports are
+	// Shards is the gateway shard count (0 = 1). Reports are
 	// deterministic at any value; they change with it, so comparable runs
 	// pin it.
 	Shards int

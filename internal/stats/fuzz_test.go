@@ -58,15 +58,10 @@ func FuzzPercentiles(f *testing.F) {
 			}
 			prev = p
 		}
-		// The CDF view must agree at the median within one sample step.
-		c := NewCDF(xs)
-		if med := c.Quantile(0.5); math.Abs(med-ps[2]) > 1e-9 {
-			t.Fatalf("CDF median %v vs Percentile %v", med, ps[2])
-		}
 	})
 }
 
-// FuzzIDC checks the dispersion estimators never panic or go negative.
+// FuzzIDC checks the dispersion estimator never panics or goes negative.
 func FuzzIDC(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -76,9 +71,6 @@ func FuzzIDC(f *testing.F) {
 		}
 		if v := IDC(xs, 50); v < 0 || math.IsNaN(v) {
 			t.Fatalf("IDC = %v", v)
-		}
-		if v := CountIDC(xs, 1); v < 0 || math.IsNaN(v) {
-			t.Fatalf("CountIDC = %v", v)
 		}
 	})
 }

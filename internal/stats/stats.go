@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives used throughout the
-// DeepBAT reproduction: percentiles, empirical CDFs, error metrics (MAPE),
-// SLO violation counting (VCR), and index-of-dispersion computations for
-// arrival processes.
+// DeepBAT reproduction: percentiles, error metrics (MAPE), SLO violation
+// counting (VCR), and index-of-dispersion computations for arrival
+// processes.
 package stats
 
 import (
@@ -311,63 +311,6 @@ func VCR(latencies []float64, slo float64) float64 {
 	return float64(viol) / float64(len(latencies)) * 100
 }
 
-// CDF is an empirical cumulative distribution function over a sorted sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs (copied, then sorted).
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// Len returns the number of samples backing the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0,1]) via linear interpolation.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return percentileSorted(c.sorted, q*100)
-}
-
-// Support returns the min and max of the sample (0,0 for an empty CDF).
-func (c *CDF) Support() (lo, hi float64) {
-	if len(c.sorted) == 0 {
-		return 0, 0
-	}
-	return c.sorted[0], c.sorted[len(c.sorted)-1]
-}
-
-// Points materializes n evenly spaced (x, F(x)) points across the support,
-// suitable for plotting the CDF curve.
-func (c *CDF) Points(n int) (xs, fs []float64) {
-	if n < 2 || len(c.sorted) == 0 {
-		return nil, nil
-	}
-	lo, hi := c.Support()
-	xs = make([]float64, n)
-	fs = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs[i] = x
-		fs[i] = c.At(x)
-	}
-	return xs, fs
-}
-
 // IDC computes the empirical index of dispersion of a stationary sequence
 // (typically interarrival times) following the paper's definition:
 //
@@ -400,91 +343,4 @@ func IDC(xs []float64, maxLag int) float64 {
 		idc = 1e-6
 	}
 	return idc
-}
-
-// CountIDC computes the index of dispersion for counts: the ratio
-// Var(N(t))/E(N(t)) for counts of events in windows of the given length,
-// computed over the event timestamps ts (which must be nondecreasing).
-func CountIDC(ts []float64, window float64) float64 {
-	if len(ts) < 2 || window <= 0 {
-		return 1
-	}
-	start, end := ts[0], ts[len(ts)-1]
-	if end <= start {
-		return 1
-	}
-	nw := int((end - start) / window)
-	if nw < 2 {
-		return 1
-	}
-	counts := make([]float64, nw)
-	for _, t := range ts {
-		i := int((t - start) / window)
-		if i >= nw {
-			// Drop events beyond the last full window so partial windows do
-			// not bias the variance estimate.
-			continue
-		}
-		counts[i]++
-	}
-	m := Mean(counts)
-	if m == 0 {
-		return 1
-	}
-	return Variance(counts) / m
-}
-
-// Histogram bins xs into n equal-width bins across [lo, hi] and returns the
-// bin edges (n+1 values) and counts (n values).
-func Histogram(xs []float64, lo, hi float64, n int) (edges []float64, counts []int) {
-	if n <= 0 || hi <= lo {
-		return nil, nil
-	}
-	edges = make([]float64, n+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
-	}
-	counts = make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		if x < lo || x > hi {
-			continue
-		}
-		i := int((x - lo) / w)
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return edges, counts
-}
-
-// Summary holds the descriptive statistics reported by Describe.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, Max           float64
-	P50, P90, P95, P99 float64
-}
-
-// Describe computes a Summary of xs. It returns ErrEmpty for no samples.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	ps, err := Percentiles(xs, []float64{0, 50, 90, 95, 99, 100})
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  ps[0],
-		P50:  ps[1],
-		P90:  ps[2],
-		P95:  ps[3],
-		P99:  ps[4],
-		Max:  ps[5],
-	}, nil
 }

@@ -149,67 +149,6 @@ func TestVCR(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.At(2.5); !almostEq(got, 0.5, 1e-12) {
-		t.Fatalf("CDF(2.5) = %v, want 0.5", got)
-	}
-	if got := c.At(0); got != 0 {
-		t.Fatalf("CDF(0) = %v, want 0", got)
-	}
-	if got := c.At(4); got != 1 {
-		t.Fatalf("CDF(4) = %v, want 1", got)
-	}
-	if got := c.Quantile(0.5); !almostEq(got, 2.5, 1e-12) {
-		t.Fatalf("Quantile(0.5) = %v, want 2.5", got)
-	}
-	lo, hi := c.Support()
-	if lo != 1 || hi != 4 {
-		t.Fatalf("Support = %v,%v want 1,4", lo, hi)
-	}
-	xs, fs := c.Points(4)
-	if len(xs) != 4 || len(fs) != 4 || fs[0] < 0.2 || fs[3] != 1 {
-		t.Fatalf("Points = %v %v", xs, fs)
-	}
-	empty := NewCDF(nil)
-	if empty.At(1) != 0 || empty.Quantile(0.5) != 0 || empty.Len() != 0 {
-		t.Fatal("empty CDF should return zeros")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			xs = append(xs, v)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		c := NewCDF(xs)
-		prev := -1.0
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			lo, hi := c.Support()
-			x := lo + (hi-lo)*q
-			v := c.At(x)
-			if v < prev-1e-12 || v < 0 || v > 1 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPercentileOrderProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -272,62 +211,6 @@ func TestIDCEdgeCases(t *testing.T) {
 	}
 	if got := IDC([]float64{0, 0, 0}, 2); got != 1 {
 		t.Fatalf("IDC zero-mean = %v, want 1", got)
-	}
-}
-
-func TestCountIDC(t *testing.T) {
-	// Deterministic arrivals: counts per window are constant -> IDC ~ 0.
-	ts := make([]float64, 1000)
-	for i := range ts {
-		ts[i] = float64(i) * 0.1
-	}
-	if got := CountIDC(ts, 10); got > 0.2 {
-		t.Fatalf("CountIDC deterministic = %v, want near 0", got)
-	}
-	if got := CountIDC(nil, 1); got != 1 {
-		t.Fatalf("CountIDC(nil) = %v, want 1", got)
-	}
-	if got := CountIDC(ts, 0); got != 1 {
-		t.Fatalf("CountIDC zero window = %v, want 1", got)
-	}
-	if got := CountIDC(ts, 1000); got != 1 {
-		t.Fatalf("CountIDC single window = %v, want 1", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0.5, 1.5, 1.6, 2.5, 3.0, -1, 5}, 0, 3, 3)
-	if len(edges) != 4 || len(counts) != 3 {
-		t.Fatalf("Histogram shapes: %v %v", edges, counts)
-	}
-	if counts[0] != 1 || counts[1] != 2 || counts[2] != 2 {
-		t.Fatalf("Histogram counts = %v, want [1 2 2]", counts)
-	}
-	if e, c := Histogram(nil, 3, 0, 3); e != nil || c != nil {
-		t.Fatal("invalid range should return nil")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	s, err := Describe(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 100 || s.Min != 1 || s.Max != 100 {
-		t.Fatalf("Describe = %+v", s)
-	}
-	if !almostEq(s.Mean, 50.5, 1e-9) {
-		t.Fatalf("Describe mean = %v", s.Mean)
-	}
-	if s.P50 > s.P90 || s.P90 > s.P95 || s.P95 > s.P99 {
-		t.Fatalf("percentile ordering broken: %+v", s)
-	}
-	if _, err := Describe(nil); err != ErrEmpty {
-		t.Fatal("expected ErrEmpty")
 	}
 }
 

@@ -1,9 +1,10 @@
 // The inference snapshot: what Predict, PredictGrid, EncodeSequence, the
 // batched evaluation passes and AttentionScores run on. A compiled value is
-// an immutable snapshot of the model — a forward-only packed network
-// (trainstep.go) that owns copies of everything it reads, the flat copy of
-// the parameters it was packed from, and the feature-branch rows of the grid
-// last swept — and it runs the network in evaluation mode on a pooled arena.
+// a snapshot of the model — a forward-only packed network (trainstep.go)
+// and the feature-branch rows of the grid last swept — and it runs the
+// network in evaluation mode on a pooled arena. It is valid until the
+// parameter block is next written, and every writer (NewModel, Train, Load)
+// drops it, so no snapshot is ever checked against the weights.
 //
 // The grid sweep adds the one step with no training twin: headGrid computes
 // the encoding's half of the output head's hidden product once and resumes
@@ -16,17 +17,13 @@ import (
 	"sync"
 
 	"deepbat/internal/lambda"
-	"deepbat/internal/tensor"
 )
 
-// compiled is what Model.snap holds: the forward-only network, the means to
-// tell whether the live parameters have moved since it was packed, and, for
-// the grid last swept, the feature-branch rows — which depend only on the
+// compiled is what Model.snap holds: the forward-only network and, for the
+// grid last swept, the feature-branch rows — which depend only on the
 // weights, the feature standardization and the grid, never on the window.
 type compiled struct {
 	*network
-	live []*tensor.Tensor // Params() when packed
-	key  []float64        // their values then, flattened in order
 
 	cfgs              []lambda.Config
 	featMean, featStd [3]float64
@@ -44,22 +41,6 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// current reports whether every live parameter still holds the bits that
-// were packed. This is what makes a stale snapshot impossible: whoever
-// changed the weights (Train, FineTune, Load, a test writing Params()
-// directly) need not tell anyone.
-func (c *compiled) current() bool {
-	off := 0
-	for _, p := range c.live {
-		end := off + len(p.Data)
-		if end > len(c.key) || !sameBits(p.Data, c.key[off:end]) {
-			return false
-		}
-		off = end
-	}
-	return off == len(c.key)
 }
 
 func sameConfigs(a, b []lambda.Config) bool {
@@ -98,26 +79,18 @@ func (c *compiled) headGrid(ws *workspace, e1 []float64) []float64 {
 	return c.headTail(ws, h, c.e2, k)
 }
 
-// compiled returns a snapshot that is valid right now: its weights match the
-// live parameters bit for bit and, when cfgs is non-nil, its feature rows
-// are those of cfgs under the current Norm. Validation is one linear
-// bit-compare per call; a mismatch repacks (weights) or recomputes the
-// feature rows (grid) and publishes the result for the next caller.
+// compiled returns a snapshot that is valid right now: it was packed from
+// the current parameter block (every writer of the block drops the
+// snapshot) and, when cfgs is non-nil, its feature rows are those of cfgs
+// under the current Norm. A missing snapshot is packed and a grid mismatch
+// recomputes the feature rows; either is published for the next caller.
 // Concurrent callers may each publish; every snapshot is immutable, so each
-// keeps computing on the one it validated.
+// keeps computing on the one it took.
 func (m *Model) compiled(cfgs []lambda.Config) *compiled {
 	c := m.snap.Load()
-	if c == nil || !c.current() {
-		c = &compiled{network: newNetwork(m, nil), live: m.Params()}
+	if c == nil {
+		c = &compiled{network: newNetwork(m, false)}
 		c.repack()
-		n := 0
-		for _, p := range c.live {
-			n += len(p.Data)
-		}
-		c.key = make([]float64, 0, n)
-		for _, p := range c.live {
-			c.key = append(c.key, p.Data...)
-		}
 		m.snap.Store(c)
 	}
 	if cfgs == nil || c.sweeps(cfgs, &m.Norm) {
@@ -126,8 +99,6 @@ func (m *Model) compiled(cfgs []lambda.Config) *compiled {
 	k := len(cfgs)
 	g := &compiled{
 		network:  c.network,
-		live:     c.live,
-		key:      c.key,
 		cfgs:     append([]lambda.Config(nil), cfgs...),
 		featMean: m.Norm.FeatMean,
 		featStd:  m.Norm.FeatStd,

@@ -2,6 +2,7 @@ package surrogate
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,21 +14,22 @@ import (
 // tapePredict is the reference every compiled-path test compares against:
 // the autograd forward the training loop runs, decoded.
 func tapePredict(m *Model, seq []float64, cfg lambda.Config) Prediction {
-	return m.decode(m.Forward(seq, cfg).Data, cfg)
+	return m.decode(tapeOf(m).forward(seq, cfg).Data, cfg)
 }
 
 // checkAgainstTape sweeps cfgs and holds PredictGrid and Predict, row by row,
-// to the tape forward's bits (the tape encodes the window once; Forward is
-// headForward over that encoding).
+// to the tape forward's bits (the tape encodes the window once; its forward
+// is head over that encoding).
 func checkAgainstTape(t *testing.T, tag string, m *Model, seq []float64, cfgs []lambda.Config) {
 	t.Helper()
 	grid := m.PredictGrid(seq, cfgs)
 	if len(grid) != len(cfgs) {
 		t.Fatalf("%s: PredictGrid returned %d of %d", tag, len(grid), len(cfgs))
 	}
-	e1 := m.encodeTape(seq)
+	tp := tapeOf(m)
+	e1 := tp.encode(seq)
 	for i, c := range cfgs {
-		want := m.decode(m.headForward(e1, c).Data, c)
+		want := m.decode(tp.head(e1, c).Data, c)
 		comparePredictions(t, fmt.Sprintf("%s: grid row %d %v", tag, i, c), grid[i], want)
 		if i < 3 { // Predict re-encodes per call; a few rows cover its head path
 			comparePredictions(t, fmt.Sprintf("%s: Predict %v", tag, c), m.Predict(seq, c), want)
@@ -100,17 +102,18 @@ func TestCompiledMatchesTape(t *testing.T) {
 				checkAgainstTape(t, tag+" zero gaps", m, zeroGapWindow(rng, seqLen), cfgs)
 
 				seq := zeroGapWindow(rng, seqLen)
-				if x := m.normalizeSeq(seq).Data; !containsZero(x) {
+				tp := tapeOf(m)
+				if x := tp.normalizeSeq(seq).Data; !containsZero(x) {
 					t.Fatalf("%s: no standardized input is exactly 0: %v", tag, x)
 				}
-				want := m.encodeTape(seq)
+				want := tp.encode(seq)
 				got := m.EncodeSequence(seq)
-				if len(got.Data) != len(want.Data) || got.Rows() != 1 {
-					t.Fatalf("%s: EncodeSequence shape %v, tape %v", tag, got.Shape, want.Shape)
+				if len(got) != len(want.Data) || want.Rows() != 1 {
+					t.Fatalf("%s: EncodeSequence length %d, tape shape %v", tag, len(got), want.Shape)
 				}
 				for i := range want.Data {
-					if !bitEqual(got.Data[i], want.Data[i]) {
-						t.Fatalf("%s: EncodeSequence[%d] = %v, tape %v (bitwise)", tag, i, got.Data[i], want.Data[i])
+					if !bitEqual(got[i], want.Data[i]) {
+						t.Fatalf("%s: EncodeSequence[%d] = %v, tape %v (bitwise)", tag, i, got[i], want.Data[i])
 					}
 				}
 			}
@@ -145,11 +148,37 @@ func TestCompiledGridSwaps(t *testing.T) {
 	checkAgainstTape(t, "original after caller mutation", m, seq, a)
 }
 
+// withParam returns the model Load makes of m's Save with element j of
+// saved tensor i (block order) replaced by f of its value: the one way to
+// write a weight from outside Train.
+func withParam(t testing.TB, m *Model, i, j int, f func(float64) float64) *Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s snapshot
+	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	s.Params[i][j] = f(s.Params[i][j])
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
 // TestCompiledNeverStale changes the model between sweeps in every way the
-// repo does — FineTune, FitNormalization, Load, a direct write to each
-// parameter tensor, a direct write to Norm — and holds the next sweep to the
-// tape forward of the changed model. Nothing here invalidates anything by
-// hand: the snapshot has to notice.
+// repo does — FineTune, Train, FitNormalization, Load, a Load of each
+// parameter tensor changed in turn, a direct write to Norm — and holds the
+// next sweep to the tape forward of the changed model. Nothing here
+// invalidates anything by hand: every writer of the weights drops the
+// snapshot, and Norm is read live.
 func TestCompiledNeverStale(t *testing.T) {
 	ds := tinyDataset(t, 40, 16)
 	m := NewModel(tinyModelConfig())
@@ -164,6 +193,13 @@ func TestCompiledNeverStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstTape(t, "after FineTune", m, seq, cfgs)
+
+	tc := DefaultTrainConfig()
+	tc.Epochs = 1
+	if _, err := m.Train(ds, nil, tc); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstTape(t, "after Train", m, seq, cfgs)
 
 	other := synthDataset(12, 16, 5)
 	m.FitNormalization(other)
@@ -183,9 +219,9 @@ func TestCompiledNeverStale(t *testing.T) {
 		comparePredictions(t, "loaded vs saved", got[i], want[i])
 	}
 
-	for i, p := range m.Params() {
-		p.Data[len(p.Data)/2] += 0.25
-		checkAgainstTape(t, fmt.Sprintf("after write to Params()[%d]", i), m, seq, cfgs[:3])
+	for i, n := range m.lay.segs {
+		m = withParam(t, m, i, n/2, func(v float64) float64 { return v + 0.25 })
+		checkAgainstTape(t, fmt.Sprintf("after a Load with tensor %d changed", i), m, seq, cfgs[:3])
 	}
 	m.Norm.FeatStd[1] *= 2
 	checkAgainstTape(t, "after write to Norm.FeatStd", m, seq, cfgs)
@@ -205,7 +241,7 @@ func TestForwardRowsMixedLengths(t *testing.T) {
 	}
 	out, w := m.forwardRows(ds), m.Cfg.OutputDim()
 	for i, s := range ds.Samples {
-		for j, want := range m.Forward(s.Seq, s.Config).Data {
+		for j, want := range tapeOf(m).forward(s.Seq, s.Config).Data {
 			if !bitEqual(out[i*w+j], want) {
 				t.Fatalf("sample %d output %d = %v vs %v (bitwise)", i, j, out[i*w+j], want)
 			}

@@ -84,8 +84,8 @@ func TestPredictGridBitIdenticalToPredict(t *testing.T) {
 // FuzzPredictGridMatchesPredict fuzzes the compiled path against the tape
 // forward over model seed, window length, a tiny random architecture (head
 // count, embedding width, feed-forward width, encoder depth, dropout), the
-// post-attention ablation, zero gaps, and a weight write plus a grid swap
-// between sweeps.
+// post-attention ablation, zero gaps, and a weight write (a Load of the
+// model's Save with one element changed) plus a grid swap between sweeps.
 func FuzzPredictGridMatchesPredict(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(1), false, false)
 	f.Add(int64(42), uint8(3), uint8(0), true, true)
@@ -111,9 +111,10 @@ func FuzzPredictGridMatchesPredict(f *testing.F) {
 		}
 		tag := fmt.Sprintf("%+v", cfg)
 		checkAgainstTape(t, tag+": first sweep", m, seq, randomGrid(rng))
-		params := m.Params()
-		p := params[rng.Intn(len(params))]
-		p.Data[rng.Intn(len(p.Data))] = rng.NormFloat64()
+		i := rng.Intn(len(m.lay.segs))
+		j := rng.Intn(m.lay.segs[i])
+		v := rng.NormFloat64()
+		m = withParam(t, m, i, j, func(float64) float64 { return v })
 		checkAgainstTape(t, tag+": after a weight write and a grid swap", m, seq, randomGrid(rng))
 	})
 }
@@ -127,9 +128,9 @@ func TestPredictGridEmpty(t *testing.T) {
 }
 
 // TestEvalBatchedMatchesPerSample pins the batched validation passes to the
-// per-sample forward they replaced: forwardRows row i must equal Forward of
-// sample i bitwise, and EvalLoss must equal the sample-order mean of
-// sampleLoss.
+// per-sample forward they replaced: forwardRows row i must equal the tape
+// forward of sample i bitwise, and EvalLoss must equal the sample-order mean
+// of the tape's sampleLoss.
 func TestEvalBatchedMatchesPerSample(t *testing.T) {
 	ds := tinyDataset(t, 6, 16)
 	m := NewModel(tinyModelConfig())
@@ -143,14 +144,15 @@ func TestEvalBatchedMatchesPerSample(t *testing.T) {
 		rows = append(rows, out[i*w:(i+1)*w])
 	}
 	var wantLoss float64
+	tp := tapeOf(m)
 	for i, s := range ds.Samples {
-		want := m.Forward(s.Seq, s.Config)
+		want := tp.forward(s.Seq, s.Config)
 		for j := range want.Data {
 			if !bitEqual(rows[i][j], want.Data[j]) {
 				t.Fatalf("sample %d output %d = %v vs %v (bitwise)", i, j, rows[i][j], want.Data[j])
 			}
 		}
-		wantLoss += m.sampleLoss(s, tc).Item()
+		wantLoss += tp.sampleLoss(s, tc).Item()
 	}
 	wantLoss /= float64(ds.Len())
 	if got := m.EvalLoss(ds, tc); !bitEqual(got, wantLoss) {
@@ -197,7 +199,8 @@ func TestPredictGridAllocBudget(t *testing.T) {
 // TestAttentionScoresTapeFreeCapture holds AttentionScores to the first
 // encoder layer's Scores on the input the tape forward feeds that layer, bit
 // for bit, across head counts, window lengths up to the paper's 256 and a
-// dropout model, and checks that the call leaves no gradient on the model.
+// dropout model, and checks that the call leaves the parameter block as it
+// was.
 func TestAttentionScoresTapeFreeCapture(t *testing.T) {
 	for _, heads := range []int{1, 2, 4} {
 		for _, n := range []int{1, 16, 64, 256} {
@@ -205,13 +208,15 @@ func TestAttentionScoresTapeFreeCapture(t *testing.T) {
 				cfg := tinyModelConfig()
 				cfg.Heads, cfg.Dropout = heads, dropout
 				m := variedModel(cfg)
+				before := append([]float64(nil), m.params...)
 				seq := randomWindow(rand.New(rand.NewSource(3)), n)
 				got := m.AttentionScores(seq)
 				tag := fmt.Sprintf("heads=%d l=%d dropout=%v", heads, n, dropout)
 
-				x := m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
+				tp := tapeOf(m)
+				x := tp.embedSeq(seq)
 				agg := make([]float64, len(seq))
-				for _, h := range m.enc.Layers[0].Att.Scores(x, x, nil) {
+				for _, h := range tp.enc.Layers[0].Att.Scores(x, x, nil) {
 					for r := 0; r < h.Rows(); r++ {
 						for c := 0; c < h.Cols(); c++ {
 							agg[c] += h.At(r, c)
@@ -230,12 +235,8 @@ func TestAttentionScoresTapeFreeCapture(t *testing.T) {
 						t.Fatalf("%s: score %d = %v, want %v (bitwise)", tag, i, got[i], agg[i])
 					}
 				}
-				for i, p := range m.Params() {
-					for _, g := range p.Grad {
-						if g != 0 {
-							t.Fatalf("%s: AttentionScores left a gradient on parameter %d", tag, i)
-						}
-					}
+				if !sameBits(m.params, before) {
+					t.Fatalf("%s: AttentionScores wrote the parameter block", tag)
 				}
 			}
 		}

@@ -17,9 +17,11 @@ type snapshot struct {
 
 // Save writes the model (architecture, normalization, weights) to w.
 func (m *Model) Save(w io.Writer) error {
-	s := snapshot{Cfg: m.Cfg, Norm: m.Norm, Gamma: m.GammaHint}
-	for _, p := range m.Params() {
-		s.Params = append(s.Params, append([]float64(nil), p.Data...))
+	s := snapshot{Cfg: m.Cfg, Norm: m.Norm, Gamma: m.GammaHint, Params: make([][]float64, len(m.lay.segs))}
+	off := 0
+	for i, n := range m.lay.segs {
+		s.Params[i] = m.params[off : off+n]
+		off += n
 	}
 	return gob.NewEncoder(w).Encode(s)
 }
@@ -33,17 +35,17 @@ func Load(r io.Reader) (*Model, error) {
 	m := NewModel(s.Cfg)
 	m.Norm = s.Norm
 	m.GammaHint = s.Gamma
-	params := m.Params()
-	if len(params) != len(s.Params) {
+	if len(m.lay.segs) != len(s.Params) {
 		return nil, fmt.Errorf("surrogate: snapshot has %d tensors, model needs %d",
-			len(s.Params), len(params))
+			len(s.Params), len(m.lay.segs))
 	}
-	for i, p := range params {
-		if len(p.Data) != len(s.Params[i]) {
+	off := 0
+	for i, n := range m.lay.segs {
+		if n != len(s.Params[i]) {
 			return nil, fmt.Errorf("surrogate: tensor %d size mismatch (%d vs %d)",
-				i, len(s.Params[i]), len(p.Data))
+				i, len(s.Params[i]), n)
 		}
-		copy(p.Data, s.Params[i])
+		off += copy(m.params[off:], s.Params[i])
 	}
 	return m, nil
 }

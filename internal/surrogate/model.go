@@ -10,21 +10,23 @@
 // Huber+MAPE loss with SLO-violation penalty), and fine-tuning for
 // out-of-distribution workloads.
 //
-// One compiled network (trainstep.go) runs all of it: every weight matrix
+// The parameters live in one flat block (Model.params, laid out by layout):
+// the weights, every gradient, Adam's moments and Save share its order. One
+// compiled network (trainstep.go) runs all of it: every weight matrix
 // packed for the blocked GEMM kernel, in a workspace arena, bit-identical to
-// the autograd tape (Forward, which stays the reference the tests compare
-// against). Train holds a copy it repacks before every optimizer step and
-// runs forward, loss and every parameter gradient on it; the samples of each
-// minibatch are sharded across sweep cells and their per-sample gradients
-// are reduced in a fixed sample order, so training is bit-deterministic for
-// a given seed regardless of the worker count. The inference snapshot
-// (compiled.go) holds a forward-only copy, packed once per weight change,
-// and runs it in evaluation mode: a grid sweep encodes the window once,
-// reuses the grid's cached feature-branch rows and shares the encoding's
-// half of the output head's hidden product across all candidates (see
-// DESIGN.md, "Batched inference & kernel blocking"). No entry point (Train,
-// Predict, PredictGrid, EvalLoss, EvalMAPE, AttentionScores) builds an
-// autograd graph or touches tensor.NoGrad.
+// the autograd tape (nn modules over the same block, which stay in the tests
+// as the reference). Train holds a training network it repacks before every
+// optimizer step and runs forward, loss and every parameter gradient on it;
+// the samples of each minibatch are sharded across sweep cells and their
+// per-sample gradients are summed in a fixed sample order, so training is
+// bit-deterministic for a given seed regardless of the worker count. The
+// inference snapshot (compiled.go) holds a forward-only network, packed once
+// per weight change, and runs it in evaluation mode: a grid sweep encodes
+// the window once, reuses the grid's cached feature-branch rows and shares
+// the encoding's half of the output head's hidden product across all
+// candidates (see DESIGN.md, "Batched inference & kernel blocking"). No
+// entry point (Train, Predict, PredictGrid, EvalLoss, EvalMAPE,
+// AttentionScores) builds an autograd graph or touches tensor.NoGrad.
 package surrogate
 
 import (
@@ -36,7 +38,6 @@ import (
 	"deepbat/internal/lambda"
 	"deepbat/internal/nn"
 	"deepbat/internal/stats"
-	"deepbat/internal/tensor"
 )
 
 // ModelConfig holds the architecture hyperparameters. The paper's settings
@@ -100,17 +101,91 @@ type Model struct {
 	// should install it on their optimizer. It travels with Save/Load.
 	GammaHint float64
 
-	embed   *nn.Linear // 1 -> d (Eq. 1)
-	pos     *nn.PositionalEncoding
-	enc     *nn.Encoder            // Eq. 2
-	postAtt *nn.MultiHeadAttention // Eq. 4, refinement of the pooled vector
-	featFF  *nn.FeedForward        // Eq. 5
-	outFF   *nn.FeedForward        // Eq. 6
+	pos    *nn.PositionalEncoding
+	lay    layout
+	params []float64 // the parameter block, laid out by lay
 
-	// snap is the inference snapshot (compiled.go). It re-validates itself
-	// against the live parameters on every use, so nothing that changes them
-	// has to invalidate it.
+	// snap is the inference snapshot (compiled.go). The block's only
+	// writers — NewModel, Train and Load — drop it after every write.
 	snap atomic.Pointer[compiled]
+}
+
+// linear locates one Linear layer y = x·W + b in the parameter block: W
+// (in×out, row-major) at w, the bias (out) at b.
+type linear struct{ w, b, in, out int }
+
+// layerNorm locates one LayerNorm's gain and bias (dim each).
+type layerNorm struct{ gain, bias, dim int }
+
+// attention locates one multi-head attention block's projections.
+type attention struct{ q, k, v, o linear }
+
+// encoderLayer locates one Transformer encoder layer.
+type encoderLayer struct {
+	att          attention
+	ff1, ff2     linear
+	norm1, norm2 layerNorm
+}
+
+// layout is where every parameter lives in the block. The order is the
+// embedding (Eq. 1), the encoder layers (Eq. 2: attention Q, K, V, O, the
+// feed-forward pair, LayerNorm 1 and 2), the post-pooling attention (Eq. 4),
+// the feature branch (Eq. 5) and the output head (Eq. 6); within a Linear,
+// W then b, and within a LayerNorm, gain then bias. The weights, every
+// gradient, Adam's moments and Save all use this one order.
+type layout struct {
+	embed        linear
+	layers       []encoderLayer
+	post         attention
+	feat1, feat2 linear
+	out1, out2   linear
+	segs         []int // length of each W, b, gain and bias in order: Save's tensors
+}
+
+// newParams lays out the parameters of cfg and draws their initial values
+// in block order from cfg.Seed: every W Xavier-normal, every bias 0, every
+// LayerNorm gain 1.
+func newParams(cfg ModelConfig) (layout, []float64) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var lay layout
+	var block []float64
+	seg := func(n int, v float64) int {
+		off := len(block)
+		for i := 0; i < n; i++ {
+			block = append(block, v)
+		}
+		lay.segs = append(lay.segs, n)
+		return off
+	}
+	lin := func(in, out int) linear {
+		l := linear{w: seg(in*out, 0), in: in, out: out}
+		scale := math.Sqrt(2.0 / float64(in+out))
+		w := block[l.w:]
+		for i := range w {
+			w[i] = rng.NormFloat64() * scale
+		}
+		l.b = seg(out, 0)
+		return l
+	}
+	d, ff := cfg.EmbedDim, cfg.FFHidden
+	att := func() attention {
+		if cfg.Heads <= 0 || d%cfg.Heads != 0 {
+			panic(fmt.Sprintf("surrogate: dim %d not divisible by heads %d", d, cfg.Heads))
+		}
+		return attention{q: lin(d, d), k: lin(d, d), v: lin(d, d), o: lin(d, d)}
+	}
+	norm := func() layerNorm { return layerNorm{gain: seg(d, 1), bias: seg(d, 0), dim: d} }
+	lay.embed = lin(1, d)
+	for i := 0; i < cfg.EncoderLayers; i++ {
+		e := encoderLayer{att: att()}
+		e.ff1, e.ff2 = lin(d, ff), lin(ff, d)
+		e.norm1, e.norm2 = norm(), norm()
+		lay.layers = append(lay.layers, e)
+	}
+	lay.post = att()
+	lay.feat1, lay.feat2 = lin(3, ff), lin(ff, d)
+	lay.out1, lay.out2 = lin(2*d, ff), lin(ff, cfg.OutputDim())
+	return lay, block
 }
 
 // NewModel builds a model with freshly initialized parameters.
@@ -118,17 +193,8 @@ func NewModel(cfg ModelConfig) *Model {
 	if cfg.SeqLen <= 0 || cfg.EmbedDim <= 0 || cfg.OutputDim() <= 1 {
 		panic(fmt.Sprintf("surrogate: bad model config %+v", cfg))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := cfg.EmbedDim
-	m := &Model{
-		Cfg:     cfg,
-		embed:   nn.NewLinear(rng, 1, d),
-		pos:     nn.NewPositionalEncoding(maxSeqLen(cfg.SeqLen), d),
-		enc:     nn.NewEncoder(rng, cfg.EncoderLayers, d, cfg.FFHidden, cfg.Heads, cfg.Dropout),
-		postAtt: nn.NewMultiHeadAttention(rng, d, cfg.Heads),
-		featFF:  nn.NewFeedForward(rng, 3, cfg.FFHidden, d),
-		outFF:   nn.NewFeedForward(rng, 2*d, cfg.FFHidden, cfg.OutputDim()),
-	}
+	m := &Model{Cfg: cfg, pos: nn.NewPositionalEncoding(maxSeqLen(cfg.SeqLen), cfg.EmbedDim)}
+	m.lay, m.params = newParams(cfg)
 	m.Norm = Normalization{
 		SeqStd:   1,
 		FeatStd:  [3]float64{1, 1, 1},
@@ -153,22 +219,8 @@ func defaultOutScale(dim int) []float64 {
 	return s
 }
 
-// Params returns every learnable tensor.
-func (m *Model) Params() []*tensor.Tensor {
-	return nn.CollectParams(m.embed, m.enc, m.postAtt, m.featFF, m.outFF)
-}
-
 // NumParams returns the scalar parameter count.
-func (m *Model) NumParams() int { return nn.NumParams(m) }
-
-// SetTrain toggles dropout.
-func (m *Model) SetTrain(train bool) { m.enc.SetTrain(train) }
-
-// normalizeSeq log-transforms and standardizes an interarrival window into a
-// column tensor of shape (l, 1).
-func (m *Model) normalizeSeq(seq []float64) *tensor.Tensor {
-	return tensor.FromData(m.normalizeSeqInto(make([]float64, len(seq)), seq), len(seq), 1)
-}
+func (m *Model) NumParams() int { return len(m.params) }
 
 // normalizeSeqInto writes the standardized window into dst (same length as
 // seq) and returns it.
@@ -196,13 +248,6 @@ func nonzero(x float64) float64 {
 	return x
 }
 
-// normalizeFeatures standardizes (M, B, T) into a (1, 3) tensor.
-func (m *Model) normalizeFeatures(cfg lambda.Config) *tensor.Tensor {
-	data := make([]float64, 3)
-	m.normalizeFeaturesRow(data, cfg)
-	return tensor.FromData(data, 1, 3)
-}
-
 // normalizeFeaturesRow writes the standardized (M, B, T) row of cfg into dst
 // (length 3), the row layout consumed by the batched feature branch.
 func (m *Model) normalizeFeaturesRow(dst []float64, cfg lambda.Config) {
@@ -214,36 +259,14 @@ func (m *Model) normalizeFeaturesRow(dst []float64, cfg lambda.Config) {
 
 // EncodeSequence runs the sequence branch: embedding, positional encoding,
 // Transformer encoder, mean pooling, and the post-pooling multi-head
-// attention (E1 of Eq. 4). The returned (1, d) tensor is a detached leaf
-// computed by the compiled network, bit-identical to the tape forward
-// (Forward).
-func (m *Model) EncodeSequence(seq []float64) *tensor.Tensor {
+// attention (E1 of Eq. 4). It returns the d-vector the compiled network
+// computes, bit-identical to the tape forward.
+func (m *Model) EncodeSequence(seq []float64) []float64 {
 	c := m.compiled(nil)
 	ws := getWorkspace(c.encodeFloats(len(seq)))
-	e1 := tensor.FromData(append([]float64(nil), m.encode(c, ws, seq)...), 1, c.dim)
+	e1 := append([]float64(nil), m.encode(c, ws, seq)...)
 	putWorkspace(ws)
 	return e1
-}
-
-// encodeTape is the sequence branch built from autograd ops: the reference
-// the compiled network is tested against.
-func (m *Model) encodeTape(seq []float64) *tensor.Tensor {
-	e := m.embedTape(seq)    // (l, d), Eq. 1 + positional encoding
-	e = m.enc.Forward(e)     // Eq. 2
-	ep := tensor.MeanRows(e) // mean pooling -> (1, d)
-	if m.Cfg.DisablePostAttention {
-		return ep
-	}
-	return m.postAtt.Forward(ep, ep, ep, nil) // Eq. 4
-}
-
-// embedTape standardizes seq and applies the embedding (Eq. 1) and the
-// positional encoding on autograd ops: the encoder's input.
-func (m *Model) embedTape(seq []float64) *tensor.Tensor {
-	if len(seq) == 0 {
-		panic("surrogate: empty sequence")
-	}
-	return m.pos.Forward(m.embed.Forward(m.normalizeSeq(seq)))
 }
 
 // encode standardizes seq and runs the sequence branch in evaluation mode;
@@ -256,19 +279,6 @@ func (m *Model) encode(c *compiled, ws *workspace, seq []float64) []float64 {
 	var post attnActs
 	_, e1 := c.encode(ws, nil, acts[:], &post, m.normalizeSeqInto(ws.take(len(seq)), seq), !m.Cfg.DisablePostAttention)
 	return e1
-}
-
-// headForward combines an encoded sequence with a candidate configuration
-// and produces the scaled output vector (still on the tape).
-func (m *Model) headForward(e1 *tensor.Tensor, cfg lambda.Config) *tensor.Tensor {
-	e2 := m.featFF.Forward(m.normalizeFeatures(cfg))  // Eq. 5
-	return m.outFF.Forward(tensor.ConcatCols(e1, e2)) // Eq. 6
-}
-
-// Forward runs the full model on autograd ops and returns the scaled
-// (normalized-space) output tensor; used by the training loop.
-func (m *Model) Forward(seq []float64, cfg lambda.Config) *tensor.Tensor {
-	return m.headForward(m.encodeTape(seq), cfg)
 }
 
 // Prediction is a de-normalized model output.

@@ -3,7 +3,6 @@ package surrogate
 import (
 	"deepbat/internal/obs"
 	"deepbat/internal/opt"
-	"deepbat/internal/tensor"
 )
 
 // trainMetrics holds the series Train maintains when TrainConfig.Obs is set.
@@ -59,17 +58,17 @@ func newTrainMetrics(reg *obs.Registry) (*trainMetrics, error) {
 	return m, nil
 }
 
-// observeBatch records the gradient norm of one optimizer step. When clipping
-// is disabled the norm is not otherwise computed, so it is derived here; the
-// gradients are read, never modified, keeping training bit-identical with and
-// without instrumentation.
-func (m *trainMetrics) observeBatch(params []*tensor.Tensor, preClipNorm float64, clipped bool) {
+// observeBatch records the gradient norm of one optimizer step, given its
+// flat gradient. When clipping is disabled the norm is not otherwise
+// computed, so it is derived here; the gradient is read, never modified,
+// keeping training bit-identical with and without instrumentation.
+func (m *trainMetrics) observeBatch(grad []float64, preClipNorm float64, clipped bool) {
 	if m == nil {
 		return
 	}
 	norm := preClipNorm
 	if !clipped {
-		norm = opt.GradNorm(params)
+		norm = opt.GradNorm(grad)
 	}
 	m.batches.Inc()
 	m.gradNorm.Observe(norm)

@@ -36,12 +36,9 @@ func TestTrainObsBitIdentical(t *testing.T) {
 			t.Fatalf("epoch %d losses diverged under instrumentation", e)
 		}
 	}
-	ps, po := mPlain.Params(), mObs.Params()
-	for i := range ps {
-		for j := range ps[i].Data {
-			if ps[i].Data[j] != po[i].Data[j] {
-				t.Fatalf("param %d element %d diverged under instrumentation", i, j)
-			}
+	for i, v := range mPlain.params {
+		if v != mObs.params[i] {
+			t.Fatalf("parameter %d diverged under instrumentation", i)
 		}
 	}
 

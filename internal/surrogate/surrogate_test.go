@@ -2,7 +2,10 @@ package surrogate
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -179,8 +182,9 @@ func TestFitNormalization(t *testing.T) {
 		}
 	}
 	// Normalized features should be O(1).
-	x := m.normalizeFeatures(lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05})
-	for _, v := range x.Data {
+	x := make([]float64, 3)
+	m.normalizeFeaturesRow(x, lambda.Config{MemoryMB: 2048, BatchSize: 4, TimeoutS: 0.05})
+	for _, v := range x {
 		if math.Abs(v) > 5 {
 			t.Fatalf("normalized feature %v too large", v)
 		}
@@ -267,6 +271,59 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range p1.Percentiles {
 		if math.Abs(p1.Percentiles[i]-p2.Percentiles[i]) > 1e-12 {
 			t.Fatal("loaded percentiles differ")
+		}
+	}
+}
+
+// TestSaveGolden pins Save's bytes: a fresh model at DefaultModelConfig (the
+// initial draws and their order) and a tiny model after a fixed two-epoch
+// Train (every training step, bit for bit).
+func TestSaveGolden(t *testing.T) {
+	digest := func(m *Model) string {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	}
+	trained := NewModel(tinyModelConfig())
+	ds := synthDataset(20, 16, 41)
+	trained.FitNormalization(ds)
+	tc := DefaultTrainConfig()
+	tc.Epochs = 2
+	if _, err := trained.Train(ds, nil, tc); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *Model
+		want string
+	}{
+		{"fresh", NewModel(DefaultModelConfig()), "4facad241f48ac5e52b8605509ea88f8477ab1a0f4276a489146f7c643363508"},
+		{"trained", trained, "8ab0b4d0202073e549ee0acc7bf375b25572d8b3de4af39af7acf7a653ec7df3"},
+	} {
+		if got := digest(c.m); got != c.want {
+			t.Errorf("%s: Save digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestNewModelDrawsAsNN holds NewModel's parameter block to the values the
+// nn constructors draw from the model seed, module by module in block
+// order, across architectures.
+func TestNewModelDrawsAsNN(t *testing.T) {
+	for _, heads := range []int{1, 2, 4} {
+		for _, layers := range []int{1, 2, 3} {
+			cfg := tinyModelConfig()
+			cfg.Heads, cfg.EncoderLayers, cfg.FFHidden, cfg.Seed = heads, layers, 7+heads, int64(heads*10+layers)
+			m := NewModel(cfg)
+			var want []float64
+			for _, p := range newNNModules(cfg, rand.New(rand.NewSource(cfg.Seed))).params() {
+				want = append(want, p.Data...)
+			}
+			if !sameBits(m.params, want) {
+				t.Fatalf("heads=%d layers=%d: NewModel's block differs from the nn constructors' draws", heads, layers)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"deepbat/internal/lambda"
-	"deepbat/internal/loss"
 	"deepbat/internal/obs"
 	"deepbat/internal/opt"
 	"deepbat/internal/stats"
@@ -19,7 +18,7 @@ type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	Loss      loss.Config
+	Loss      LossConfig
 	// SLO drives the violation-penalty weighting of the loss.
 	SLO float64
 	// ClipNorm bounds the global gradient norm (0 disables clipping).
@@ -50,7 +49,7 @@ func DefaultTrainConfig() TrainConfig {
 		Epochs:    30,
 		BatchSize: 8,
 		LR:        0.001,
-		Loss:      loss.Default(),
+		Loss:      DefaultLossConfig(),
 		SLO:       0.1,
 		ClipNorm:  5,
 		Seed:      1,
@@ -102,9 +101,9 @@ func sampleSeed(base int64, epoch, pos int) int64 {
 // packed once per optimizer step. The samples of each minibatch are
 // independent, so they are sharded across cfg.Workers sweep cells, each with
 // its own arena; every sample's gradient lands in its own flat slice. After
-// the cells join, the slices are added into the optimizer's parameters in
-// sample order, clipped, and stepped — so the update is bit-identical for any
-// worker count, and to the autograd tape.
+// the cells join, the slices are summed in sample order into one flat
+// gradient, which is clipped and stepped into the parameter block — so the
+// update is bit-identical for any worker count, and to the autograd tape.
 func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 	if train == nil || train.Len() == 0 {
 		return nil, errors.New("surrogate: empty training set")
@@ -116,8 +115,8 @@ func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 		cfg.Epochs = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	params := m.Params()
-	optim := opt.NewAdam(params, cfg.LR)
+	size := len(m.params)
+	optim := opt.NewFlatAdam(size, cfg.LR)
 	met, err := newTrainMetrics(cfg.Obs)
 	if err != nil {
 		return nil, err
@@ -136,10 +135,11 @@ func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 	for w := range shards {
 		shards[w] = st.newWorker(maxLen)
 	}
-	// One flat gradient and loss slot per batch position, reused across
-	// batches.
-	grads := make([]float64, cfg.BatchSize*st.size)
+	// One flat gradient and loss slot per batch position, and the batch's
+	// summed gradient, reused across batches.
+	grads := make([]float64, cfg.BatchSize*size)
 	losses := make([]float64, cfg.BatchSize)
+	grad := make([]float64, size)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -163,7 +163,7 @@ func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 					if m.Cfg.Dropout > 0 {
 						w.rng.Seed(sampleSeed(cfg.Seed, epoch, start+p))
 					}
-					g := grads[p*st.size : (p+1)*st.size]
+					g := grads[p*size : (p+1)*size]
 					clear(g)
 					losses[p] = st.run(w, train.Samples[order[start+p]], cfg, scale, g)
 				}
@@ -174,18 +174,21 @@ func (m *Model) Train(train, val *Dataset, cfg TrainConfig) (*History, error) {
 			}
 			// Deterministic reduction: sample order, independent of which
 			// worker produced each gradient.
-			optim.ZeroGrad()
+			clear(grad)
 			var batchLoss float64
 			for p := 0; p < bs; p++ {
-				st.addInto(grads[p*st.size : (p+1)*st.size])
+				for j, g := range grads[p*size : (p+1)*size] {
+					grad[j] += g
+				}
 				batchLoss += losses[p]
 			}
 			if cfg.ClipNorm > 0 {
-				met.observeBatch(params, opt.ClipGradNorm(params, cfg.ClipNorm), true)
+				met.observeBatch(grad, opt.ClipGradNorm(grad, cfg.ClipNorm), true)
 			} else {
-				met.observeBatch(params, 0, false)
+				met.observeBatch(grad, 0, false)
 			}
-			optim.Step()
+			optim.Step(m.params, grad)
+			m.snap.Store(nil)
 			epochLoss += batchLoss
 			batches++
 		}
@@ -213,7 +216,7 @@ func (m *Model) FineTune(data *Dataset, cfg TrainConfig) (*History, error) {
 
 // forwardRows runs the compiled path over every sample of d — one encode per
 // sample, then one batched head pass — and returns the (N × OutputDim) scaled
-// output matrix. Row i is bit-identical to Forward(d.Samples[i]).
+// output matrix. Row i is bit-identical to the tape forward of sample i.
 func (m *Model) forwardRows(d *Dataset) []float64 {
 	n, maxLen := d.Len(), 0
 	for _, s := range d.Samples {
@@ -252,8 +255,8 @@ func (m *Model) EvalLoss(d *Dataset, cfg TrainConfig) float64 {
 	var total float64
 	for i, s := range d.Samples {
 		m.scaleTargetInto(target, s.Target)
-		loss.SLOWeightsInto(wts, s.Target, cfg.SLO, cfg.Loss)
-		total += combinedLoss(out[i*w:(i+1)*w], target, wts, cfg.Loss, loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss)).value
+		sloWeightsInto(wts, s.Target, cfg.SLO, cfg.Loss)
+		total += combinedLoss(out[i*w:(i+1)*w], target, wts, cfg.Loss, sampleWeight(s.Target, cfg.SLO, cfg.Loss)).value
 	}
 	return total / float64(d.Len())
 }

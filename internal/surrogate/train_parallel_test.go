@@ -71,13 +71,9 @@ func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 					workers, e, hPar.TrainLoss[e], hSerial.TrainLoss[e])
 			}
 		}
-		ps, pp := mSerial.Params(), mPar.Params()
-		for i := range ps {
-			for j := range ps[i].Data {
-				if ps[i].Data[j] != pp[i].Data[j] {
-					t.Fatalf("workers=%d: param %d element %d diverged: %v vs %v",
-						workers, i, j, pp[i].Data[j], ps[i].Data[j])
-				}
+		for i, v := range mSerial.params {
+			if v != mPar.params[i] {
+				t.Fatalf("workers=%d: parameter %d diverged: %v vs %v", workers, i, mPar.params[i], v)
 			}
 		}
 		// Matching weights must give matching predictions.
@@ -122,8 +118,9 @@ func TestEvalMatchesTapeValues(t *testing.T) {
 	cfg := DefaultTrainConfig()
 
 	var want float64
+	tp := tapeOf(m)
 	for _, s := range ds.Samples {
-		want += m.sampleLoss(s, cfg).Item()
+		want += tp.sampleLoss(s, cfg).Item()
 	}
 	want /= float64(ds.Len())
 	if got := m.EvalLoss(ds, cfg); !bitEqual(got, want) {
@@ -132,7 +129,7 @@ func TestEvalMatchesTapeValues(t *testing.T) {
 
 	// Predict (compiled) must agree with the tape forward pass.
 	for _, s := range ds.Samples[:5] {
-		out := m.Forward(s.Seq, s.Config)
+		out := tp.forward(s.Seq, s.Config)
 		want := m.decode(out.Data, s.Config)
 		got := m.Predict(s.Seq, s.Config)
 		if got.CostPerRequest != want.CostPerRequest {

@@ -3,25 +3,25 @@
 // kernels, on plain []float64 buffers in a workspace arena — no
 // *tensor.Tensor, no graph, no per-op allocation.
 //
-// A network owns every buffer it reads: each Linear packed for gemm.Blocked
-// (and, in a training network, Wᵀ packed for the input gradient
-// dX = dY·Wᵀ), and copies of the biases and LayerNorm constants. newNetwork
-// builds one and repack refills it from the live parameters. It has two
-// holders. Train keeps a training network (trainStep) and repacks it before
-// every optimizer step; the samples of a minibatch share it read-only. The
-// inference snapshot (compiled.go) holds a forward-only one, packed once
-// per weight change.
+// A network reads the model's one parameter block (model.go, layout): each
+// Linear's W packed for gemm.Blocked (and, in a training network, Wᵀ packed
+// for the input gradient dX = dY·Wᵀ), and the biases and LayerNorm
+// constants in place. newNetwork builds one and repack packs it from the
+// block. It has two holders. Train keeps a training network (trainStep) and
+// repacks it before every optimizer step; the samples of a minibatch share
+// it read-only. The inference snapshot (compiled.go) holds a forward-only
+// one, packed once per weight change.
 //
 // The forward runs in training mode when the caller passes a dropout stream:
 // dropout draws its masks and every activation backward needs is kept. With
 // no stream it runs in evaluation mode, as the tape does with training off:
 // dropout is the identity and each layer's scratch is released as it goes.
-// A training sample's gradient lands in its own flat slice, laid out in
-// Params() order.
+// A training sample's gradient lands in its own flat slice, laid out as the
+// parameter block.
 //
 // Forward and backward perform, per value, the same sequence of IEEE-754
-// operations as the tape (Forward → sampleLoss → tensor.Backward, which
-// stays the reference the tests compare against), so predictions and
+// operations as the autograd tape (the nn modules over the same block, then
+// tensor.Backward: the reference the tests compare against), so predictions and
 // gradients are bit-identical by construction:
 //
 //   - every product goes through the gemm kernels, whose per-cell
@@ -53,9 +53,7 @@ import (
 	"math/rand"
 
 	"deepbat/internal/gemm"
-	"deepbat/internal/loss"
 	"deepbat/internal/nn"
-	"deepbat/internal/tensor"
 )
 
 // plus0 returns +0 + v: what the tape stores when it accumulates a single
@@ -134,25 +132,23 @@ func softmaxScaled(x []float64, rows, cols int, scale float64) {
 	}
 }
 
-// dense is weight rows [r0, r0+in) of one nn.Linear — all of them, except in
-// the output head's split — in buffers of its own: w is W packed for the
-// forward product, b a copy of the bias (nil when the block carries none),
-// and wt Wᵀ packed for the input gradient (nil where none is taken). gw and
-// gb locate the W and B gradients in a flat per-sample gradient.
+// dense is in weight rows of one Linear layer (all of them, except in the
+// output head's split). gw locates the first row and gb the bias, in the
+// parameter block and in a flat gradient alike. w is the rows packed for the
+// forward product and wt their transpose packed for the input gradient (nil
+// where none is taken); b is the bias in the block (nil when the rows carry
+// none).
 type dense struct {
 	w, b, wt []float64
 	in, out  int
-	src      *nn.Linear
-	r0       int
 	gw, gb   int
 }
 
-// repack packs the live weights and copies the live bias; scratch holds at
-// least in×out floats when wt is set.
-func (d *dense) repack(scratch []float64) {
-	w := d.src.W.Data[d.r0*d.out : (d.r0+d.in)*d.out]
+// repack packs the weights from the parameter block; scratch holds at least
+// in×out floats when wt is set.
+func (d *dense) repack(params, scratch []float64) {
+	w := params[d.gw : d.gw+d.in*d.out]
 	gemm.Pack(d.w, w, d.in, d.out)
-	copy(d.b, d.src.B.Data)
 	if d.wt != nil {
 		transpose(scratch, w, d.in, d.out)
 		gemm.Pack(d.wt, scratch, d.out, d.in)
@@ -211,22 +207,18 @@ func reluBackward(dy, h []float64) {
 	}
 }
 
-// norm is one nn.LayerNorm, with copies of its gain and bias.
+// lnEps is every LayerNorm's variance epsilon (nn.NewLayerNorm's).
+const lnEps = 1e-5
+
+// norm is one LayerNorm: its gain and bias in the parameter block, at gg and
+// gb.
 type norm struct {
 	gain, bias []float64
-	eps        float64
-	src        *nn.LayerNorm
 	gg, gb     int
 }
 
-func newNorm(n *nn.LayerNorm, off map[*tensor.Tensor]int) norm {
-	m := len(n.Gain.Data)
-	return norm{gain: make([]float64, m), bias: make([]float64, m), eps: n.Eps, src: n, gg: off[n.Gain], gb: off[n.Bias]}
-}
-
-func (n *norm) repack() {
-	copy(n.gain, n.src.Gain.Data)
-	copy(n.bias, n.src.Bias.Data)
+func newNorm(params []float64, l layerNorm) norm {
+	return norm{gain: params[l.gain : l.gain+l.dim], bias: params[l.bias : l.bias+l.dim], gg: l.gain, gb: l.bias}
 }
 
 // forward sets out = LayerNorm(x) row by row (in place when out is x) and
@@ -246,7 +238,7 @@ func (n *norm) forward(out, xhat, invStd, x []float64, rows int) {
 			v += d * d
 		}
 		v /= float64(m)
-		is := 1 / math.Sqrt(v+n.eps)
+		is := 1 / math.Sqrt(v+lnEps)
 		invStd[r] = is
 		for c, xv := range row {
 			h := (xv - mean) * is
@@ -287,18 +279,19 @@ func (n *norm) backward(ws *workspace, grad, dy, xhat, invStd, dx []float64, row
 	ws.release(mark)
 }
 
-// attn is one nn.MultiHeadAttention in self-attention form (q = k = v = x).
+// attn is one multi-head attention block in self-attention form
+// (q = k = v = x).
 type attn struct {
 	q, k, v, o dense
 	heads, hd  int
 	scale      float64
 }
 
-func (a *attn) repack(scratch []float64) {
-	a.q.repack(scratch)
-	a.k.repack(scratch)
-	a.v.repack(scratch)
-	a.o.repack(scratch)
+func (a *attn) repack(params, scratch []float64) {
+	a.q.repack(params, scratch)
+	a.k.repack(params, scratch)
+	a.v.repack(params, scratch)
+	a.o.repack(params, scratch)
 }
 
 // attnActs is what one attention forward keeps for its backward.
@@ -411,7 +404,7 @@ func (a *attn) backward(ws *workspace, grad []float64, acts *attnActs, x, dy, dx
 	ws.release(mark)
 }
 
-// layer is one nn.EncoderLayer.
+// layer is one Transformer encoder layer.
 type layer struct {
 	att          attn
 	ff1, ff2     dense
@@ -419,12 +412,10 @@ type layer struct {
 	p            float64 // dropout probability of Drop1 and Drop2
 }
 
-func (e *layer) repack(scratch []float64) {
-	e.att.repack(scratch)
-	e.ff1.repack(scratch)
-	e.ff2.repack(scratch)
-	e.norm1.repack()
-	e.norm2.repack()
+func (e *layer) repack(params, scratch []float64) {
+	e.att.repack(params, scratch)
+	e.ff1.repack(params, scratch)
+	e.ff2.repack(params, scratch)
 }
 
 // layerActs is what one encoder layer forward keeps for its backward.
@@ -537,83 +528,85 @@ func (e *layer) backward(ws *workspace, grad []float64, a *layerActs, dy, dx []f
 	ws.release(mark)
 }
 
-// network is the packed form of a Model. It owns every buffer its kernels
-// read except the constant positional table.
+// network is the packed form of a Model: every weight matrix packed for the
+// GEMM kernels, reading biases and LayerNorm constants in place from the
+// parameter block.
 type network struct {
 	dim            int
+	params         []float64 // the model's parameter block
 	pos            *nn.PositionalEncoding
 	embed          dense
 	layers         []layer
 	post           attn
-	feat1, feat2   dense     // featFF
-	outTop, outBot dense     // outFF.L1 split at row dim: the e1 half and the e2 half (which carries the bias)
-	out2           dense     // outFF.L2
+	feat1, feat2   dense     // the feature branch
+	outTop, outBot dense     // the head's first layer split at row dim: the e1 half and the e2 half (which carries the bias)
+	out2           dense     // the head's second layer
 	scratch        []float64 // repack's buffer for Wᵀ; empty when forward-only
 }
 
-// newNetwork sets up the packed form of m; repack fills it. off locates
-// every parameter in a flat per-sample gradient, for training; with off nil
-// the network is forward-only and packs no Wᵀ.
-func newNetwork(m *Model, off map[*tensor.Tensor]int) *network {
+// newNetwork sets up the packed form of m; repack fills it. A training
+// network also packs every Wᵀ an input gradient needs.
+func newNetwork(m *Model, training bool) *network {
 	d, largest := m.Cfg.EmbedDim, 0
-	block := func(l *nn.Linear, r0, in int, bias, inputGrad bool) dense {
-		out := l.W.Cols()
-		b := dense{w: make([]float64, gemm.PackedLen(in, out)), in: in, out: out, src: l, r0: r0, gw: off[l.W] + r0*out, gb: off[l.B]}
+	block := func(l linear, r0, in int, bias, inputGrad bool) dense {
+		b := dense{w: make([]float64, gemm.PackedLen(in, l.out)), in: in, out: l.out, gw: l.w + r0*l.out, gb: l.b}
 		if bias {
-			b.b = make([]float64, out)
+			b.b = m.params[l.b : l.b+l.out]
 		}
-		if inputGrad && off != nil {
-			b.wt = make([]float64, gemm.PackedLen(out, in))
-			largest = max(largest, in*out)
+		if inputGrad && training {
+			b.wt = make([]float64, gemm.PackedLen(l.out, in))
+			largest = max(largest, in*l.out)
 		}
 		return b
 	}
-	full := func(l *nn.Linear, inputGrad bool) dense { return block(l, 0, l.W.Rows(), true, inputGrad) }
-	att := func(a *nn.MultiHeadAttention) attn {
-		hd := a.Dim / a.Heads
+	full := func(l linear, inputGrad bool) dense { return block(l, 0, l.in, true, inputGrad) }
+	att := func(a attention) attn {
+		hd := d / m.Cfg.Heads
 		return attn{
-			q: full(a.Wq, true), k: full(a.Wk, true), v: full(a.Wv, true), o: full(a.Wo, true),
-			heads: a.Heads, hd: hd, scale: 1 / math.Sqrt(float64(hd)),
+			q: full(a.q, true), k: full(a.k, true), v: full(a.v, true), o: full(a.o, true),
+			heads: m.Cfg.Heads, hd: hd, scale: 1 / math.Sqrt(float64(hd)),
 		}
 	}
+	lay := &m.lay
 	n := &network{
 		dim:    d,
+		params: m.params,
 		pos:    m.pos,
-		embed:  full(m.embed, false),
-		layers: make([]layer, len(m.enc.Layers)),
-		post:   att(m.postAtt),
-		feat1:  full(m.featFF.L1, false),
-		feat2:  full(m.featFF.L2, true),
-		outTop: block(m.outFF.L1, 0, d, false, true),
-		outBot: block(m.outFF.L1, d, d, true, true),
-		out2:   full(m.outFF.L2, true),
+		embed:  full(lay.embed, false),
+		layers: make([]layer, len(lay.layers)),
+		post:   att(lay.post),
+		feat1:  full(lay.feat1, false),
+		feat2:  full(lay.feat2, true),
+		outTop: block(lay.out1, 0, d, false, true),
+		outBot: block(lay.out1, d, d, true, true),
+		out2:   full(lay.out2, true),
 	}
-	for i, l := range m.enc.Layers {
+	for i, l := range lay.layers {
 		n.layers[i] = layer{
-			att:   att(l.Att),
-			ff1:   full(l.FF.L1, true),
-			ff2:   full(l.FF.L2, true),
-			norm1: newNorm(l.Norm1, off),
-			norm2: newNorm(l.Norm2, off),
-			p:     l.Drop1.P,
+			att:   att(l.att),
+			ff1:   full(l.ff1, true),
+			ff2:   full(l.ff2, true),
+			norm1: newNorm(m.params, l.norm1),
+			norm2: newNorm(m.params, l.norm2),
+			p:     m.Cfg.Dropout,
 		}
 	}
 	n.scratch = make([]float64, largest)
 	return n
 }
 
-// repack refills every buffer from the live parameters.
+// repack packs every weight matrix from the parameter block.
 func (n *network) repack() {
-	n.embed.repack(n.scratch)
+	n.embed.repack(n.params, n.scratch)
 	for i := range n.layers {
-		n.layers[i].repack(n.scratch)
+		n.layers[i].repack(n.params, n.scratch)
 	}
-	n.post.repack(n.scratch)
-	n.feat1.repack(n.scratch)
-	n.feat2.repack(n.scratch)
-	n.outTop.repack(n.scratch)
-	n.outBot.repack(n.scratch)
-	n.out2.repack(n.scratch)
+	n.post.repack(n.params, n.scratch)
+	n.feat1.repack(n.params, n.scratch)
+	n.feat2.repack(n.params, n.scratch)
+	n.outTop.repack(n.params, n.scratch)
+	n.outBot.repack(n.params, n.scratch)
+	n.out2.repack(n.params, n.scratch)
 }
 
 // input embeds the standardized window xs (Eq. 1) and adds the positional
@@ -723,9 +716,71 @@ func (n *network) headTail(ws *workspace, h, e2 []float64, rows int) []float64 {
 	return out
 }
 
+// LossConfig holds the hyperparameters of the training loss (Eqs. 7–9 of
+// the paper), a weighted combination of MAPE and Huber loss,
+//
+//	L(y, ŷ) = Alpha·MAPE(y, ŷ) + (1−Alpha)·Huber_Delta(y, ŷ),
+//
+// with per-element and per-sample weights that penalize configurations
+// whose true latency violates the SLO more heavily, as the paper's loss is
+// "intentionally defined to penalize more for those configurations that
+// violate the SLO". The paper uses Alpha = 0.05 and Delta = 1.
+type LossConfig struct {
+	// Alpha weighs MAPE against Huber in the combination.
+	Alpha float64
+	// Delta is the Huber transition point.
+	Delta float64
+	// SLOPenalty multiplies the weight of SLO-violating outputs and samples.
+	// 1 disables the penalty.
+	SLOPenalty float64
+}
+
+// DefaultLossConfig returns the paper's loss configuration.
+func DefaultLossConfig() LossConfig {
+	return LossConfig{Alpha: 0.05, Delta: 1, SLOPenalty: 4}
+}
+
+// violates reports whether a target vector [cost, p_1, ..., p_k] belongs to
+// an SLO-violating configuration — any latency percentile above the SLO.
+func violates(target []float64, slo float64) bool {
+	for i := 1; i < len(target); i++ {
+		if target[i] > slo {
+			return true
+		}
+	}
+	return false
+}
+
+// sampleWeight returns the loss multiplier of one training sample: the
+// SLOPenalty for a configuration whose true latency violates the SLO, 1
+// otherwise. It scales the sample's whole combined loss; the per-element
+// weights are normalized by their sum and so cannot express a sample-level
+// penalty.
+func sampleWeight(target []float64, slo float64, cfg LossConfig) float64 {
+	if violates(target, slo) && cfg.SLOPenalty > 0 {
+		return cfg.SLOPenalty
+	}
+	return 1
+}
+
+// sloWeightsInto writes one sample's per-element weights into dst (the
+// length of target) and returns it: latency entries above the SLO get the
+// penalty weight, sharpening the fit where the constraint binds; the cost
+// element and feasible latency entries keep weight 1.
+func sloWeightsInto(dst, target []float64, slo float64, cfg LossConfig) []float64 {
+	for i := range dst {
+		dst[i] = 1
+		if i >= 1 && target[i] > slo && cfg.SLOPenalty > 0 {
+			dst[i] = cfg.SLOPenalty
+		}
+	}
+	return dst
+}
+
 // lossTerms is one sample's combined loss on plain floats: tensor.MAPELoss
-// and tensor.Huber with their weight sums, combined as loss.Combined and
-// scaled by the sample weight w, all in the tape ops' expression order.
+// and tensor.Huber with their weight sums, combined as Alpha·MAPE +
+// (1−Alpha)·Huber and scaled by the sample weight w, all in the tape ops'
+// expression order.
 type lossTerms struct {
 	mape, huber   float64
 	mapeW, huberW float64
@@ -735,7 +790,7 @@ type lossTerms struct {
 
 // combinedLoss evaluates the combined loss of pred against the scaled
 // target with per-element weights wts and sample weight w.
-func combinedLoss(pred, target, wts []float64, cfg loss.Config, w float64) lossTerms {
+func combinedLoss(pred, target, wts []float64, cfg LossConfig, w float64) lossTerms {
 	var t lossTerms
 	for i, p := range pred {
 		if target[i] == 0 {
@@ -766,7 +821,7 @@ func combinedLoss(pred, target, wts []float64, cfg loss.Config, w float64) lossT
 	t.huber /= t.huberW
 	t.w = w
 	t.value = t.mape*cfg.Alpha + t.huber*(1-cfg.Alpha)
-	//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; the tape skips the Scale then
+	//lint:allow floatcompare sampleWeight returns the literal 1.0 for unpenalized samples; the tape skips the Scale then
 	if w != 1 {
 		t.value *= w
 	}
@@ -776,9 +831,9 @@ func combinedLoss(pred, target, wts []float64, cfg loss.Config, w float64) lossT
 // backward sets dpred to the gradient of value×scale with respect to pred:
 // the Scale nodes, then Add, then Huber's closure before MAPELoss's (the
 // tape's reverse topological order), then Reshape.
-func (t *lossTerms) backward(dpred, pred, target, wts []float64, cfg loss.Config, scale float64) {
+func (t *lossTerms) backward(dpred, pred, target, wts []float64, cfg LossConfig, scale float64) {
 	g := plus0(1 * scale)
-	//lint:allow floatcompare SampleWeight returns the literal 1.0 for unpenalized samples; the tape skips the Scale then
+	//lint:allow floatcompare sampleWeight returns the literal 1.0 for unpenalized samples; the tape skips the Scale then
 	if t.w != 1 {
 		g = plus0(g * t.w)
 	}
@@ -809,26 +864,16 @@ func (t *lossTerms) backward(dpred, pred, target, wts []float64, cfg loss.Config
 	}
 }
 
-// trainStep is Train's training network and each parameter's offset in a
-// flat gradient. It is built once per Train call; repack refreshes it from
-// the live parameters before every optimizer step, after which the step is
-// read-only and shared by every worker.
+// trainStep is Train's training network. It is built once per Train call;
+// repack refreshes it from the parameter block before every optimizer step,
+// after which the step is read-only and shared by every worker.
 type trainStep struct {
 	*network
-	m      *Model
-	params []*tensor.Tensor
-	size   int // flat gradient length
+	m *Model
 }
 
 func newTrainStep(m *Model) *trainStep {
-	st := &trainStep{m: m, params: m.Params()}
-	off := make(map[*tensor.Tensor]int, len(st.params))
-	for _, p := range st.params {
-		off[p] = st.size
-		st.size += len(p.Data)
-	}
-	st.network = newNetwork(m, off)
-	return st
+	return &trainStep{network: newNetwork(m, true), m: m}
 }
 
 // floats bounds the arena one step over a window of length l takes.
@@ -844,18 +889,6 @@ func (st *trainStep) floats(l int) int {
 	n += hid + 2*d + f + d             // head and feature-branch gradients
 	n += max(st.out2.backwardFloats(1), st.outBot.backwardFloats(1), st.feat2.backwardFloats(1), st.feat1.backwardFloats(1))
 	return n
-}
-
-// addInto adds the flat gradient g into the parameters' Grad, in Params()
-// order.
-func (st *trainStep) addInto(g []float64) {
-	off := 0
-	for _, p := range st.params {
-		for j := range p.Grad {
-			p.Grad[j] += g[off+j]
-		}
-		off += len(p.Grad)
-	}
 }
 
 // stepWorker is one worker's private state: its arena, dropout stream and
@@ -876,7 +909,7 @@ func (st *trainStep) newWorker(maxLen int) *stepWorker {
 }
 
 // run computes one sample's loss, scaled by scale, and adds its gradient to
-// grad (length st.size). The dropout stream must already be seeded when the
+// grad (laid out as the parameter block). The dropout stream must already be seeded when the
 // model has dropout.
 func (st *trainStep) run(w *stepWorker, s Sample, cfg TrainConfig, scale float64, grad []float64) float64 {
 	m, ws, d := st.m, &w.ws, st.dim
@@ -898,8 +931,8 @@ func (st *trainStep) run(w *stepWorker, s Sample, cfg TrainConfig, scale float64
 	out := len(pred)
 	target, wts := ws.take(out), ws.take(out)
 	m.scaleTargetInto(target, s.Target)
-	loss.SLOWeightsInto(wts, s.Target, cfg.SLO, cfg.Loss)
-	terms := combinedLoss(pred, target, wts, cfg.Loss, loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss))
+	sloWeightsInto(wts, s.Target, cfg.SLO, cfg.Loss)
+	terms := combinedLoss(pred, target, wts, cfg.Loss, sampleWeight(s.Target, cfg.SLO, cfg.Loss))
 
 	// Backward.
 	dpred := ws.take(out)

@@ -6,45 +6,27 @@ import (
 	"math/rand"
 	"testing"
 
-	"deepbat/internal/loss"
 	"deepbat/internal/opt"
 	"deepbat/internal/tensor"
 )
 
-// sampleLoss builds the tape's scalar loss for one sample: the combined
-// Huber+MAPE loss with violating latency entries up-weighted, and the whole
-// sample scaled by the SLO penalty when its configuration violates. It is the
-// reference the compiled training step is held to.
-func (m *Model) sampleLoss(s Sample, cfg TrainConfig) *tensor.Tensor {
-	pred := m.Forward(s.Seq, s.Config)
-	scaled := make([]float64, len(s.Target))
-	m.scaleTargetInto(scaled, s.Target)
-	target := tensor.FromData(scaled, len(s.Target))
-	weights := loss.SLOWeights(s.Target, cfg.SLO, cfg.Loss)
-	l := loss.Combined(tensor.Reshape(pred, len(s.Target)), target, cfg.Loss, weights)
-	if w := loss.SampleWeight(s.Target, cfg.SLO, cfg.Loss); w != 1 {
-		l = tensor.Scale(l, w)
-	}
-	return l
-}
-
-// tapeStep runs one sample through the tape with the model's parameter
-// gradients preset to seed (Params() order, flat), and returns the scaled
-// loss and the resulting flat gradient. With dropout, masks come from a
-// fresh stream seeded with dropSeed, as Train seeds them.
-func tapeStep(m *Model, s Sample, cfg TrainConfig, scale float64, dropSeed int64, seed []float64) (float64, []float64) {
-	params := m.Params()
+// tapeStep runs one sample through the tape with its parameter gradients
+// preset to seed (block order), and returns the scaled loss and the
+// resulting flat gradient. With dropout, masks come from a fresh stream
+// seeded with dropSeed, as Train seeds them.
+func tapeStep(tp *tape, s Sample, cfg TrainConfig, scale float64, dropSeed int64, seed []float64) (float64, []float64) {
+	params := tp.params()
 	off := 0
 	for _, p := range params {
 		copy(p.Grad, seed[off:off+len(p.Grad)])
 		off += len(p.Grad)
 	}
-	m.SetTrain(true)
-	defer m.SetTrain(false)
-	if m.Cfg.Dropout > 0 {
-		m.enc.SetDropoutRNG(rand.New(rand.NewSource(dropSeed)))
+	tp.enc.SetTrain(true)
+	defer tp.enc.SetTrain(false)
+	if tp.m.Cfg.Dropout > 0 {
+		tp.enc.SetDropoutRNG(rand.New(rand.NewSource(dropSeed)))
 	}
-	l := tensor.Scale(m.sampleLoss(s, cfg), scale)
+	l := tensor.Scale(tp.sampleLoss(s, cfg), scale)
 	tensor.Backward(l)
 	grad := make([]float64, 0, off)
 	for _, p := range params {
@@ -66,10 +48,8 @@ func compiledStep(m *Model, s Sample, cfg TrainConfig, scale float64, dropSeed i
 // perturb moves every parameter off its initialisation (zero biases, unit
 // LayerNorm gains), so every term of every gradient carries weight.
 func perturb(m *Model, rng *rand.Rand) {
-	for _, p := range m.Params() {
-		for i := range p.Data {
-			p.Data[i] += 0.2 * rng.NormFloat64()
-		}
+	for i := range m.params {
+		m.params[i] += 0.2 * rng.NormFloat64()
 	}
 }
 
@@ -82,7 +62,7 @@ func stepSamples(t testing.TB, m *Model, cfg TrainConfig, rng *rand.Rand) []Samp
 	out := m.Cfg.OutputDim()
 	cfgs := randomGrid(rng)
 	mixed := Sample{Seq: zeroGapWindow(rng, l), Config: cfgs[0], Target: make([]float64, out)}
-	pred := m.Forward(mixed.Seq, mixed.Config).Data
+	pred := tapeOf(m).forward(mixed.Seq, mixed.Config).Data
 	offsets := []float64{0.25, -3, 0.5, 2.5, -0.75, 4}
 	for i := range mixed.Target {
 		mixed.Target[i] = (pred[i] + offsets[i%len(offsets)]) * m.Norm.OutScale[i]
@@ -95,7 +75,7 @@ func stepSamples(t testing.TB, m *Model, cfg TrainConfig, rng *rand.Rand) []Samp
 		violating.Target[i] = 0.15 + 0.1*float64(i)
 		feasible.Target[i] = 0.01 * float64(i)
 	}
-	if loss.SampleWeight(violating.Target, cfg.SLO, cfg.Loss) == 1 || loss.SampleWeight(feasible.Target, cfg.SLO, cfg.Loss) != 1 {
+	if sampleWeight(violating.Target, cfg.SLO, cfg.Loss) == 1 || sampleWeight(feasible.Target, cfg.SLO, cfg.Loss) != 1 {
 		t.Fatalf("sample weights do not cover both regimes")
 	}
 	return []Sample{mixed, violating, feasible}
@@ -107,17 +87,14 @@ func stepSamples(t testing.TB, m *Model, cfg TrainConfig, rng *rand.Rand) []Samp
 // random ones.
 func checkStep(t testing.TB, tag string, m *Model, s Sample, cfg TrainConfig, scale float64, dropSeed int64, rng *rand.Rand) {
 	t.Helper()
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.Data)
-	}
+	n := len(m.params)
 	negZero, seeded := make([]float64, n), make([]float64, n)
 	for i := range seeded {
 		negZero[i] = math.Copysign(0, -1)
 		seeded[i] = rng.NormFloat64()
 	}
 	for _, seed := range [][]float64{make([]float64, n), negZero, seeded} {
-		wantLoss, want := tapeStep(m, s, cfg, scale, dropSeed, seed)
+		wantLoss, want := tapeStep(tapeOf(m), s, cfg, scale, dropSeed, seed)
 		gotLoss, got := compiledStep(m, s, cfg, scale, dropSeed, seed)
 		if !bitEqual(gotLoss, wantLoss) {
 			t.Fatalf("%s: loss %v, tape %v (bitwise)", tag, gotLoss, wantLoss)
@@ -193,15 +170,15 @@ func FuzzTrainStepMatchesTape(f *testing.F) {
 
 // tapeTrain is the reference training loop, entirely on the tape: per sample
 // a fresh gradient from Backward, reduced in sample order, clipped and
-// stepped, with the validation loss from sampleLoss in evaluation mode.
+// stepped by opt.Adam over the tape's tensors, with the validation loss from
+// sampleLoss in evaluation mode.
 func tapeTrain(m *Model, train, val *Dataset, cfg TrainConfig) *History {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	params := m.Params()
+	tp := tapeOf(m)
+	params := tp.params()
 	optim := opt.NewAdam(params, cfg.LR)
-	n := 0
-	for _, q := range params {
-		n += len(q.Grad)
-	}
+	n := len(m.params)
+	sum := make([]float64, n)
 	hist := &History{}
 	order := make([]int, train.Len())
 	for i := range order {
@@ -217,22 +194,22 @@ func tapeTrain(m *Model, train, val *Dataset, cfg TrainConfig) *History {
 			var grads [][]float64
 			var batchLoss float64
 			for p := 0; p < end-start; p++ {
-				l, g := tapeStep(m, train.Samples[order[start+p]], cfg, scale, sampleSeed(cfg.Seed, epoch, start+p), make([]float64, n))
+				l, g := tapeStep(tp, train.Samples[order[start+p]], cfg, scale, sampleSeed(cfg.Seed, epoch, start+p), make([]float64, n))
 				grads = append(grads, g)
 				batchLoss += l
 			}
-			optim.ZeroGrad()
+			clear(sum)
 			for _, g := range grads {
-				off := 0
-				for _, q := range params {
-					for j := range q.Grad {
-						q.Grad[j] += g[off+j]
-					}
-					off += len(q.Grad)
+				for j, v := range g {
+					sum[j] += v
 				}
 			}
 			if cfg.ClipNorm > 0 {
-				opt.ClipGradNorm(params, cfg.ClipNorm)
+				opt.ClipGradNorm(sum, cfg.ClipNorm)
+			}
+			off := 0
+			for _, q := range params {
+				off += copy(q.Grad, sum[off:])
 			}
 			optim.Step()
 			epochLoss += batchLoss
@@ -241,7 +218,7 @@ func tapeTrain(m *Model, train, val *Dataset, cfg TrainConfig) *History {
 		epochLoss /= float64(batches)
 		var valLoss float64
 		for _, s := range val.Samples {
-			valLoss += m.sampleLoss(s, cfg).Item()
+			valLoss += tp.sampleLoss(s, cfg).Item()
 		}
 		valLoss /= float64(val.Len())
 		hist.TrainLoss = append(hist.TrainLoss, epochLoss)
@@ -277,12 +254,9 @@ func TestTrainMatchesTapeLoop(t *testing.T) {
 					workers, e, got.TrainLoss[e], got.ValLoss[e], want.TrainLoss[e], want.ValLoss[e])
 			}
 		}
-		ps, rs := m.Params(), ref.Params()
-		for i := range rs {
-			for j := range rs[i].Data {
-				if !bitEqual(ps[i].Data[j], rs[i].Data[j]) {
-					t.Fatalf("workers=%d: param %d element %d = %v, tape %v", workers, i, j, ps[i].Data[j], rs[i].Data[j])
-				}
+		for i, v := range ref.params {
+			if !bitEqual(m.params[i], v) {
+				t.Fatalf("workers=%d: parameter %d = %v, tape %v", workers, i, m.params[i], v)
 			}
 		}
 	}
@@ -290,13 +264,13 @@ func TestTrainMatchesTapeLoop(t *testing.T) {
 
 // TestTrainAllocBudget guards the compiled step's allocation profile: one
 // Train epoch over 24 samples at SeqLen 16 allocates its set-up (the
-// training network, the arenas, the flat gradients, Adam's moments: about
-// 300 objects), four objects per minibatch for the sweep, and the validation
-// pass (which packs a forward-only network for the inference snapshot the
-// optimizer step made stale: about 110) — 419 to 421 in all when measured,
-// never anything per sample or per op. The budget adds room for a GC
-// emptying the workspace pool (two objects). Routed through the tape, the
-// same epoch allocates hundreds of objects per sample.
+// training network, the arenas, the flat gradients, Adam's two moment
+// slices), four objects per minibatch for the sweep, and the validation pass
+// (which packs a forward-only network for the inference snapshot the
+// optimizer step dropped) — 105 to 107 in all when measured, never anything
+// per sample or per op. The budget adds room for a GC emptying the
+// workspace pool (two objects). Routed through the tape, the same epoch
+// allocates hundreds of objects per sample.
 func TestTrainAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc budget is not meaningful")
@@ -313,7 +287,7 @@ func TestTrainAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget = 424
+	const budget = 110
 	if allocs := testing.AllocsPerRun(3, run); allocs > budget {
 		t.Fatalf("one Train epoch allocates %.0f objects, budget %d", allocs, budget)
 	}

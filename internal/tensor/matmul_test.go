@@ -89,20 +89,19 @@ func buildGraph(seed int64) []float64 {
 	x := Add(a, b)
 	x = Sub(x, Mul(a, b))
 	x = LayerNorm(x, gain, gbias, 1e-5)
-	x = Scale(AddScalar(x, 0.1), 1.3)
+	x = Scale(x, 1.3)
 	h := AddRow(MatMul(x, w), bias) // (3, 2)
-	h = ConcatCols(h, Tanh(h))      // (3, 4)
+	h = ConcatCols(h, ReLU(h))      // (3, 4)
 	h = NarrowCols(h, 1, 2)         // (3, 2)
 	h = Softmax(h)                  // (3, 2)
-	h = Mul(ReLU(h), Sigmoid(h))    // (3, 2)
+	h = Mul(ReLU(h), h)             // (3, 2)
 	pooled := MeanRows(h)           // (1, 2)
 	pooled = Reshape(pooled, 1, 2)  // (1, 2)
 	tr := Transpose(pooled)         // (2, 1)
 	flatT := Reshape(tr, 1, 2)
 	hub := Huber(pooled, target, 1.0, nil)
 	mape := MAPELoss(pooled, target, nil)
-	mse := MSE(flatT, target)
-	total := Add(Add(hub, mape), Add(mse, MeanAll(h)))
+	total := Add(Add(hub, mape), Add(MAPELoss(flatT, target, nil), SumAll(h)))
 	total = Add(total, SumAll(pooled))
 
 	var out []float64

@@ -88,11 +88,6 @@ func FromData(data []float64, shape ...int) *Tensor {
 	return &Tensor{Data: data, Shape: s}
 }
 
-// FromScalar returns a 1-element tensor holding v.
-func FromScalar(v float64) *Tensor {
-	return FromData([]float64{v}, 1)
-}
-
 // Randn returns a tensor with N(0, scale^2) entries drawn from rng.
 func Randn(rng *rand.Rand, scale float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -362,27 +357,6 @@ func Scale(a *Tensor, s float64) *Tensor {
 	return out
 }
 
-// AddScalar returns a + s elementwise.
-func AddScalar(a *Tensor, s float64) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i := range data {
-		data[i] = a.Data[i] + s
-	}
-	out := result("addscalar", data, a.Shape, a)
-	if out.requiresGrad {
-		out.backward = func() {
-			for i := range a.Grad {
-				a.Grad[i] += out.Grad[i]
-			}
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Matrix multiplication
-// ---------------------------------------------------------------------------
-
 // MatMul returns the matrix product of 2-D tensors a (n×k) and b (k×m).
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
@@ -528,41 +502,6 @@ func ReLU(a *Tensor) *Tensor {
 	return out
 }
 
-// Sigmoid returns 1/(1+exp(-a)) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i, v := range a.Data {
-		data[i] = 1 / (1 + math.Exp(-v))
-	}
-	out := result("sigmoid", data, a.Shape, a)
-	if out.requiresGrad {
-		out.backward = func() {
-			for i := range a.Grad {
-				s := data[i]
-				a.Grad[i] += out.Grad[i] * s * (1 - s)
-			}
-		}
-	}
-	return out
-}
-
-// Tanh returns tanh(a) elementwise.
-func Tanh(a *Tensor) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i, v := range a.Data {
-		data[i] = math.Tanh(v)
-	}
-	out := result("tanh", data, a.Shape, a)
-	if out.requiresGrad {
-		out.backward = func() {
-			for i := range a.Grad {
-				a.Grad[i] += out.Grad[i] * (1 - data[i]*data[i])
-			}
-		}
-	}
-	return out
-}
-
 // Softmax applies a numerically stable softmax along the last dimension of a
 // 2-D tensor, row by row.
 func Softmax(a *Tensor) *Tensor {
@@ -689,25 +628,6 @@ func SumAll(a *Tensor) *Tensor {
 	if out.requiresGrad {
 		out.backward = func() {
 			g := out.Grad[0]
-			for i := range a.Grad {
-				a.Grad[i] += g
-			}
-		}
-	}
-	return out
-}
-
-// MeanAll returns the scalar mean of all elements.
-func MeanAll(a *Tensor) *Tensor {
-	n := float64(len(a.Data))
-	s := 0.0
-	for _, v := range a.Data {
-		s += v
-	}
-	out := result("meanall", []float64{s / n}, []int{1}, a)
-	if out.requiresGrad {
-		out.backward = func() {
-			g := out.Grad[0] / n
 			for i := range a.Grad {
 				a.Grad[i] += g
 			}
@@ -919,28 +839,6 @@ func MAPELoss(pred, target *Tensor, weights []float64) *Tensor {
 					sign = -1
 				}
 				pred.Grad[i] += g * w * sign / math.Abs(target.Data[i])
-			}
-		}
-	}
-	return out
-}
-
-// MSE returns the mean squared error between pred and the constant target.
-func MSE(pred, target *Tensor) *Tensor {
-	sameShape("MSE", pred, target)
-	n := len(pred.Data)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		d := pred.Data[i] - target.Data[i]
-		sum += d * d
-	}
-	fn := float64(n)
-	out := result("mse", []float64{sum / fn}, []int{1}, pred)
-	if out.requiresGrad {
-		out.backward = func() {
-			g := out.Grad[0] * 2 / fn
-			for i := 0; i < n; i++ {
-				pred.Grad[i] += g * (pred.Data[i] - target.Data[i])
 			}
 		}
 	}
