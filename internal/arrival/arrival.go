@@ -306,9 +306,6 @@ func samplePhase(dist []float64, rng *rand.Rand) int {
 	return len(dist) - 1
 }
 
-// Phase returns the current hidden phase.
-func (g *Gen) Phase() int { return g.phase }
-
 // Next returns the next interarrival time.
 func (g *Gen) Next() float64 {
 	t := 0.0

@@ -183,7 +183,7 @@ func TestGenPhaseTracked(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 2000; i++ {
 		g.Next()
-		seen[g.Phase()] = true
+		seen[g.phase] = true
 	}
 	if !seen[0] || !seen[1] {
 		t.Fatalf("phases visited = %v, want both", seen)

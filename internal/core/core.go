@@ -48,9 +48,6 @@ func (p *WorkloadParser) Observe(ts float64) {
 	p.seen++
 }
 
-// Seen returns the number of arrivals observed.
-func (p *WorkloadParser) Seen() int { return p.seen }
-
 // Full reports whether a complete window is available.
 func (p *WorkloadParser) Full() bool { return p.n == p.capacity }
 

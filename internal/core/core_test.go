@@ -15,8 +15,8 @@ func TestWorkloadParserWindow(t *testing.T) {
 	}
 	for i, ts := range []float64{1, 2, 4, 7, 11} {
 		p.Observe(ts)
-		if p.Seen() != i+1 {
-			t.Fatalf("Seen = %d", p.Seen())
+		if p.seen != i+1 {
+			t.Fatalf("seen = %d", p.seen)
 		}
 	}
 	if !p.Full() {

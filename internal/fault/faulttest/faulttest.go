@@ -65,10 +65,9 @@ type Scenario struct {
 	// Decide, when non-nil, is the inner decision function; Run wraps it
 	// with the plan's DecideErrorRate stream.
 	Decide func(window []float64) (lambda.Config, error)
-	// Shards is the gateway shard count (0 = 1). The harness defaults to a
-	// single shard — not GOMAXPROCS — because scenarios script batch fills
-	// by arrival count, which presumes one queue; multi-shard scenarios
-	// must opt in and route by hash.
+	// Shards is the gateway shard count (0 = 1). Scenarios script batch
+	// fills by arrival count, which presumes one queue; multi-shard
+	// scenarios must opt in and route by hash.
 	Shards int
 	Steps  []Step
 }
@@ -110,17 +109,13 @@ func Run(t *testing.T, s Scenario) Result {
 	if s.Decide != nil {
 		decide = inj.WrapDecide(s.Decide)
 	}
-	shards := s.Shards
-	if shards == 0 {
-		shards = 1
-	}
 	g, err := gateway.New(backend, decide, gateway.Config{
 		Initial:       s.Initial,
 		SLO:           s.SLO,
 		WindowLen:     s.WindowLen,
 		Clock:         clock,
 		Resilience:    res,
-		Shards:        shards,
+		Shards:        s.Shards,
 		VirtualTimers: true,
 	})
 	if err != nil {

@@ -71,7 +71,7 @@ func runIsolation(t *testing.T, storm bool) (*fleet.Fleet, []byte, []byte) {
 	}
 	f.Stop()
 	var snap, ev bytes.Buffer
-	rg := f.GatewayFor(relaxed)
+	rg := f.GroupGateway(f.GroupOf(relaxed))
 	if err := rg.Obs().WriteJSON(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFleetChaosIsolation(t *testing.T) {
 	f, _, _ := runIsolation(t, true)
 	strict, relaxed := f.ClassIndex("strict"), f.ClassIndex("relaxed")
 
-	sg := f.GatewayFor(strict)
+	sg := f.GroupGateway(f.GroupOf(strict))
 	if got := sg.Breaker(); got != gateway.BreakerOpen {
 		t.Errorf("strict breaker = %v, want open", got)
 	}
@@ -96,7 +96,7 @@ func TestFleetChaosIsolation(t *testing.T) {
 		t.Errorf("strict stats = %+v, want all requests failed", st)
 	}
 
-	rg := f.GatewayFor(relaxed)
+	rg := f.GroupGateway(f.GroupOf(relaxed))
 	if got := rg.Breaker(); got != gateway.BreakerClosed {
 		t.Errorf("relaxed breaker = %v, want closed", got)
 	}
@@ -133,7 +133,7 @@ func TestFleetChaosDeterministic(t *testing.T) {
 	run := func() [][]byte {
 		f, relSnap, relEv := runIsolation(t, true)
 		var snap, ev bytes.Buffer
-		sg := f.GatewayFor(f.ClassIndex("strict"))
+		sg := f.GroupGateway(f.GroupOf(f.ClassIndex("strict")))
 		if err := sg.Obs().WriteJSON(&snap); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestFleetChaosFallbackKeepsServing(t *testing.T) {
 		f.Do(strict)
 	}
 	f.Stop()
-	st := f.GatewayFor(strict).Stats()
+	st := f.GroupGateway(f.GroupOf(strict)).Stats()
 	if st.Served == 0 {
 		t.Errorf("strict stats = %+v, want fallback serving after the breaker opened", st)
 	}

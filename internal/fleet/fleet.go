@@ -211,12 +211,6 @@ func (f *Fleet) ClassIndex(name string) int {
 // GroupOf returns the group index serving class.
 func (f *Fleet) GroupOf(class int) int { return f.byClass[class] }
 
-// GatewayFor returns the gateway serving class — the handle tests and
-// drivers use for per-group stats, metrics, and breaker state.
-func (f *Fleet) GatewayFor(class int) *gateway.Gateway {
-	return f.gws[f.byClass[class]]
-}
-
 // GroupGateway returns the gi-th group's gateway.
 func (f *Fleet) GroupGateway(gi int) *gateway.Gateway { return f.gws[gi] }
 

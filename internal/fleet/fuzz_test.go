@@ -19,7 +19,7 @@ func FuzzPlanValidate(f *testing.F) {
 	// Valid canonical plans (compact json.Marshal output).
 	f.Add([]byte(`{"classes":[{"name":"a","slo_s":0.1}]}`))
 	f.Add([]byte(`{"classes":[{"name":"a","slo_s":0.1},{"name":"b","slo_s":0.5,"merge_with":"a"}],"merge":true}`))
-	f.Add([]byte(`{"classes":[{"name":"a","slo_s":0.1,"initial":{"memory_mb":2048,"batch_size":4,"timeout_s":0.1},"shards":2,"rate_rps":100}],"grid":{"memories_mb":[1024,2048],"batches":[1,4],"timeouts_s":[0.05,0.1]}}`))
+	f.Add([]byte(`{"classes":[{"name":"a","slo_s":0.1,"initial":{"memory_mb":2048,"batch_size":4,"timeout_s":0.1},"shards":2}],"grid":{"memories_mb":[1024,2048],"batches":[1,4],"timeouts_s":[0.05,0.1]}}`))
 	f.Add([]byte(`{"classes":[{"name":"a","slo_s":0.2,"resilience":{"max_retries":2,"retry_base_ms":1,"retry_max_ms":4,"jitter_seed":1}},{"name":"b","slo_s":0.4,"pricing":{"per_request_usd":2e-7,"per_gb_second_usd":1.6e-5}}]}`))
 	// The malformed shapes Validate must reject without panicking.
 	f.Add([]byte(`{"classes":[{"name":"a","slo_s":0.1},{"name":"a","slo_s":0.2}]}`))                                   // duplicate name

@@ -41,7 +41,7 @@ func classSpec(s faulttest.Scenario) fleet.ClassSpec {
 	if r.Fallback != (lambda.Config{}) {
 		res.Fallback = cfg(r.Fallback)
 	}
-	return fleet.ClassSpec{Name: "only", SLO: s.SLO, Initial: cfg(s.Initial), Shards: 1, Resilience: res}
+	return fleet.ClassSpec{Name: "only", SLO: s.SLO, Initial: cfg(s.Initial), Resilience: res}
 }
 
 // runGolden drives one golden scenario through a 1-class fleet and returns

@@ -108,9 +108,6 @@ type ClassSpec struct {
 	Initial *ConfigSpec `json:"initial,omitempty"`
 	// Shards is the class gateway's batcher shard count (0 = 1).
 	Shards int `json:"shards,omitempty"`
-	// RateRPS is the class's mean arrival rate — the arrival source the
-	// fleet load generator drives (0 = no synthetic stream).
-	RateRPS float64 `json:"rate_rps,omitempty"`
 	// MergeWith statically packs this class onto the named class's function
 	// group (chains allowed; cycles are invalid). The optimizer's merge
 	// pass can pack further when Plan.Merge is set.
@@ -128,11 +125,6 @@ func (c ClassSpec) profileName() string {
 		return "nlp-base"
 	}
 	return c.Profile
-}
-
-// LambdaProfile returns the class's service-time profile.
-func (c ClassSpec) LambdaProfile() lambda.Profile {
-	return lambda.Profiles[c.profileName()]
 }
 
 // LambdaPricing returns the class's pricing (default AWS when unset).
@@ -226,9 +218,6 @@ func (p Plan) Validate() error {
 		}
 		if c.Shards < 0 {
 			return fmt.Errorf("fleet: class %q has negative shard count", c.Name)
-		}
-		if !finite(c.RateRPS) || c.RateRPS < 0 {
-			return fmt.Errorf("fleet: class %q has invalid rate %g", c.Name, c.RateRPS)
 		}
 		if r := c.Resilience; r != nil {
 			if r.MaxRetries < 0 || r.BreakerThreshold < 0 ||

@@ -25,7 +25,7 @@ func immediateConfig(shards int) Config {
 // TestShardOfFrozen pins the hash: shardOf is a pure function of the request
 // ID and the published splitmix64 constants, so these routings must never
 // change — a silent change would re-route live traffic and break the
-// reproducibility contract of the loadgen sweep tables.
+// reproducibility contract of the replay sweep tables.
 func TestShardOfFrozen(t *testing.T) {
 	frozen := map[int][]int{
 		2: {1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1},

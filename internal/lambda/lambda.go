@@ -128,14 +128,6 @@ func DefaultPricing() Pricing {
 	}
 }
 
-// LegacyPricing returns the 100 ms-granularity pricing in effect when BATCH
-// was published; coarser rounding makes batching even more attractive.
-func LegacyPricing() Pricing {
-	p := DefaultPricing()
-	p.BillingGranularity = 0.1
-	return p
-}
-
 // InvocationCost returns the USD cost of one invocation of duration seconds
 // at memory m MB.
 func (p Pricing) InvocationCost(m, duration float64) float64 {

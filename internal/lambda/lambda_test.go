@@ -91,8 +91,10 @@ func TestBillingRoundsUp(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("rounded cost = %v, want %v", got, want)
 	}
-	leg := LegacyPricing()
-	// 10.1 ms bills as 100 ms under legacy pricing.
+	// 10.1 ms bills as 100 ms at the 0.1 s granularity in effect when BATCH
+	// was published.
+	leg := DefaultPricing()
+	leg.BillingGranularity = 0.1
 	got = leg.InvocationCost(1024, 0.0101)
 	want = 0.20/1e6 + 0.1*1.0*0.0000166667
 	if math.Abs(got-want) > 1e-12 {

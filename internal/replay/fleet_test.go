@@ -54,6 +54,9 @@ func TestRunFleetStatic(t *testing.T) {
 		if row.Served+row.Failed != row.Arrivals {
 			t.Errorf("class %s: served %d + failed %d != arrivals %d", row.Class, row.Served, row.Failed, row.Arrivals)
 		}
+		if row.GoodputRPS <= 0 {
+			t.Errorf("class %s has traffic but no goodput", row.Class)
+		}
 		sum += row.Arrivals
 	}
 	if sum != rep.Requests {

@@ -3,18 +3,19 @@
 // injected manual clock.
 //
 // The driver (drive, below) is single-threaded and fully virtual-time, and
-// it is the only one: Run puts a single gateway behind it, RunFleet a fleet,
-// and internal/loadgen's open loops are Run/RunFleet over a Poisson trace.
-// Arrivals are taken from the trace (optionally compressed by a time-scale
-// factor), the gateways run with Config.VirtualTimers, so this driver rather
-// than a flusher goroutine fires each batch timeout at its modeled instant
-// via NextFlushDeadline/FlushDue (the same deadline test the wall-clock
-// flusher runs), and a clock-advancing backend charges each invocation's
-// deterministic service time to the same clock. The result: every latency, dispatch cause, and
-// cost in the report is a pure function of (trace bytes, replay config) — the
-// same trace file and seed produce byte-identical reports across runs,
-// machines, and GOMAXPROCS values. That is the property `make replay-smoke`
-// pins in CI and the scenarios experiment builds its tables on.
+// it is the repo's only open-loop driver: Run puts a single gateway behind
+// it, RunFleet a fleet (internal/loadgen is the closed loop on the wall
+// clock). Arrivals are taken from the trace (optionally compressed by a
+// time-scale factor), the gateways run with Config.VirtualTimers, so this
+// driver rather than a flusher goroutine fires each batch timeout at its
+// modeled instant via NextFlushDeadline/FlushDue (the same deadline test the
+// wall-clock flusher runs), and a clock-advancing backend charges each
+// invocation's deterministic service time to the same clock. The result:
+// every latency, dispatch cause, and cost in the report is a pure function
+// of (trace bytes, replay config) — the same trace file and seed produce
+// byte-identical reports across runs, machines, and GOMAXPROCS values. That
+// is the property `make replay-smoke` pins in CI and the scenarios
+// experiment builds its tables on.
 //
 // In keeping with the noprint rule this package only returns Report values
 // and renders them to an io.Writer on request; printing belongs to

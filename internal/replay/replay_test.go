@@ -63,18 +63,24 @@ func TestReportByteIdentical(t *testing.T) {
 	if r1.Totals.Failed == 0 {
 		t.Fatal("expected some failures at 10% error rate with one retry")
 	}
+	if r1.Totals.GoodputRPS <= 0 {
+		t.Fatalf("no goodput: %+v", r1.Totals)
+	}
 }
 
 // TestVirtualTimeoutsFire pins that the virtual-timer path actually
 // dispatches by timeout: sparse arrivals against a large batch size must
 // produce timeout dispatches (not just the Stop flush), observable on the
-// gateway_dispatch_timeout_total counter and in every request being served.
+// gateway_dispatch_timeout_total counter, in every request being served,
+// and in a p99 above the timer but within the timer plus a full batch's
+// service time.
 func TestVirtualTimeoutsFire(t *testing.T) {
 	tr := testTrace(t, "azure")
 	reg := obs.NewRegistry()
+	initial := lambda.Config{MemoryMB: 2048, BatchSize: 64, TimeoutS: 0.05}
 	r, err := Run(Config{
 		Trace:   tr,
-		Initial: lambda.Config{MemoryMB: 2048, BatchSize: 64, TimeoutS: 0.05},
+		Initial: initial,
 		Shards:  1,
 		SLO:     0.5,
 		Obs:     reg,
@@ -84,6 +90,10 @@ func TestVirtualTimeoutsFire(t *testing.T) {
 	}
 	if r.Totals.Served != len(tr.Reqs) {
 		t.Fatalf("served %d of %d", r.Totals.Served, len(tr.Reqs))
+	}
+	maxMS := 1000 * (initial.TimeoutS + lambda.DefaultProfile().ServiceTime(initial.MemoryMB, initial.BatchSize))
+	if p99 := r.Totals.P99MS; p99 <= 1000*initial.TimeoutS || p99 > maxMS {
+		t.Fatalf("p99 = %.1f ms, want above the %.0f ms timer and at most %.1f ms", p99, 1000*initial.TimeoutS, maxMS)
 	}
 	timeouts := -1.0
 	for _, s := range reg.Snapshot().Series {
@@ -122,21 +132,24 @@ func TestTimeScaleCompresses(t *testing.T) {
 
 // TestLatencyNonNegative guards the clock discipline: the driver moves the
 // manual clock backwards after service advances, which is only sound if
-// every response's latency stays non-negative.
+// every response's latency stays non-negative. At every shard count the
+// report states, every request is served.
 func TestLatencyNonNegative(t *testing.T) {
 	tr := testTrace(t, "corrburst")
-	r, err := Run(Config{Trace: tr, Shards: 2, SLO: 0.1, WindowS: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range r.Windows {
-		if w.P50MS < 0 || w.P99MS < 0 {
-			t.Fatalf("negative latency in window starting %.1fs: p50=%.3f p99=%.3f",
-				w.StartS, w.P50MS, w.P99MS)
+	for _, p := range []int{1, 2, 8} {
+		r, err := Run(Config{Trace: tr, Shards: p, SLO: 0.1, WindowS: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if r.Totals.Served != len(tr.Reqs) {
-		t.Fatalf("served %d of %d", r.Totals.Served, len(tr.Reqs))
+		for _, w := range r.Windows {
+			if w.P50MS < 0 || w.P99MS < 0 {
+				t.Fatalf("P=%d: negative latency in window starting %.1fs: p50=%.3f p99=%.3f",
+					p, w.StartS, w.P50MS, w.P99MS)
+			}
+		}
+		if r.Shards != p || r.Totals.Served != len(tr.Reqs) {
+			t.Fatalf("P=%d: report says %d shards, served %d of %d", p, r.Shards, r.Totals.Served, len(tr.Reqs))
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func FuzzPredictGridMatchesPredict(f *testing.F) {
 		cfg.Heads = []int{1, 2, 4}[int(bits)%3]
 		cfg.EmbedDim = 4 * (1 + int(bits>>2)%3)
 		cfg.FFHidden = 3 + int(bits>>4)%14
-		cfg.EncoderLayers = 1 + int(bits>>6)%2
+		cfg.EncoderLayers = int(bits>>6) % 3
 		if bits&0x08 != 0 {
 			cfg.Dropout = 0.2
 		}

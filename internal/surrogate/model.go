@@ -190,7 +190,7 @@ func newParams(cfg ModelConfig) (layout, []float64) {
 
 // NewModel builds a model with freshly initialized parameters.
 func NewModel(cfg ModelConfig) *Model {
-	if cfg.SeqLen <= 0 || cfg.EmbedDim <= 0 || cfg.OutputDim() <= 1 {
+	if cfg.SeqLen <= 0 || cfg.EmbedDim <= 0 || cfg.OutputDim() <= 1 || !(cfg.Dropout >= 0 && cfg.Dropout < 1) {
 		panic(fmt.Sprintf("surrogate: bad model config %+v", cfg))
 	}
 	m := &Model{Cfg: cfg, pos: nn.NewPositionalEncoding(maxSeqLen(cfg.SeqLen), cfg.EmbedDim)}

@@ -54,6 +54,24 @@ func TestNewModelParams(t *testing.T) {
 	if got := m.Cfg.OutputDim(); got != 6 {
 		t.Fatalf("OutputDim = %d, want 6 (cost + 5 percentiles)", got)
 	}
+	for _, bad := range []func(*ModelConfig){
+		func(c *ModelConfig) { c.SeqLen = 0 },
+		func(c *ModelConfig) { c.Heads = 3 },
+		func(c *ModelConfig) { c.Dropout = 1 },
+		func(c *ModelConfig) { c.Dropout = -0.1 },
+		func(c *ModelConfig) { c.Dropout = math.NaN() },
+	} {
+		cfg := tinyModelConfig()
+		bad(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewModel accepted %+v", cfg)
+				}
+			}()
+			NewModel(cfg)
+		}()
+	}
 }
 
 func TestPredictShapesAndDeterminism(t *testing.T) {

@@ -887,7 +887,10 @@ func (st *trainStep) floats(l int) int {
 	n += 3 + f + d + hid + out         // feature branch and head
 	n += 3 * out                       // target, weights, prediction gradient
 	n += hid + 2*d + f + d             // head and feature-branch gradients
-	n += max(st.out2.backwardFloats(1), st.outBot.backwardFloats(1), st.feat2.backwardFloats(1), st.feat1.backwardFloats(1))
+	// The largest scratch one backward takes and releases. The embedding's
+	// fits inside the encoder layers' budgets, but a model without layers
+	// still needs it here.
+	n += max(st.out2.backwardFloats(1), st.outBot.backwardFloats(1), st.feat2.backwardFloats(1), st.feat1.backwardFloats(1), st.embed.backwardFloats(l))
 	return n
 }
 

@@ -108,23 +108,26 @@ func checkStep(t testing.TB, tag string, m *Model, s Sample, cfg TrainConfig, sc
 }
 
 // TestTrainStepMatchesTape pins the compiled training step to the tape —
-// loss and every gradient element, bit for bit — across window lengths,
-// head counts, the post-attention ablation, dropout, and every loss regime.
+// loss and every gradient element, bit for bit — across encoder depths
+// (none included), window lengths, head counts, the post-attention
+// ablation, dropout, and every loss regime.
 func TestTrainStepMatchesTape(t *testing.T) {
 	cfg := DefaultTrainConfig()
-	for _, seqLen := range []int{1, 8, 32, 64} {
-		for _, heads := range []int{1, 2, 4} {
-			for _, noPost := range []bool{false, true} {
-				for _, drop := range []float64{0, 0.1} {
-					mc := tinyModelConfig()
-					mc.SeqLen, mc.Heads, mc.DisablePostAttention, mc.Dropout = seqLen, heads, noPost, drop
-					mc.Seed = int64(seqLen*10 + heads)
-					m := variedModel(mc)
-					rng := rand.New(rand.NewSource(mc.Seed))
-					perturb(m, rng)
-					for i, s := range stepSamples(t, m, cfg, rng) {
-						tag := fmt.Sprintf("l=%d heads=%d noPost=%v dropout=%v sample %d", seqLen, heads, noPost, drop, i)
-						checkStep(t, tag, m, s, cfg, 1/float64(i+3), sampleSeed(3, i, seqLen), rng)
+	for _, layers := range []int{2, 0} {
+		for _, seqLen := range []int{1, 8, 32, 64} {
+			for _, heads := range []int{1, 2, 4} {
+				for _, noPost := range []bool{false, true} {
+					for _, drop := range []float64{0, 0.1} {
+						mc := tinyModelConfig()
+						mc.EncoderLayers, mc.SeqLen, mc.Heads, mc.DisablePostAttention, mc.Dropout = layers, seqLen, heads, noPost, drop
+						mc.Seed = int64(seqLen*10 + heads)
+						m := variedModel(mc)
+						rng := rand.New(rand.NewSource(mc.Seed))
+						perturb(m, rng)
+						for i, s := range stepSamples(t, m, cfg, rng) {
+							tag := fmt.Sprintf("layers=%d l=%d heads=%d noPost=%v dropout=%v sample %d", layers, seqLen, heads, noPost, drop, i)
+							checkStep(t, tag, m, s, cfg, 1/float64(i+3), sampleSeed(3, i, seqLen), rng)
+						}
 					}
 				}
 			}
@@ -147,7 +150,7 @@ func FuzzTrainStepMatchesTape(f *testing.F) {
 		mc.Heads = []int{1, 2, 4}[int(bits)%3]
 		mc.EmbedDim = 4 * (1 + int(bits>>2)%3)
 		mc.FFHidden = 3 + int(bits>>4)%14
-		mc.EncoderLayers = 1 + int(bits>>6)%2
+		mc.EncoderLayers = int(bits>>6) % 3
 		mc.DisablePostAttention = bits&0x20 != 0
 		if bits&0x08 != 0 {
 			mc.Dropout = 0.2

@@ -1,7 +1,7 @@
 // Package sweep is the deterministic parallel fan-out/fan-in engine behind
 // every multi-cell evaluation in this repo: the experiments' scenario
 // matrices, ablation/sensitivity grids and chaos sweeps, qsim's grid-search
-// fan-out, the loadgen/replay shard sweeps, surrogate dataset labelling
+// fan-out, the replay shard sweep, surrogate dataset labelling
 // (one simulation per sample) and minibatch training (one cell per worker),
 // and the BATCH baseline's per-configuration analysis. The numeric kernels below these cells are serial; parallelism
 // lives at the cell grain.

@@ -270,21 +270,6 @@ func diffs(ts []float64) []float64 {
 	return out
 }
 
-// SlidingWindows cuts the interarrival sequence into consecutive windows of
-// the given length (the model input sequences). Stride defaults to length
-// when <= 0. Windows that would run past the end are dropped.
-func (t *Trace) SlidingWindows(length, stride int) [][]float64 {
-	inter := t.Interarrivals()
-	if stride <= 0 {
-		stride = length
-	}
-	var out [][]float64
-	for start := 0; start+length <= len(inter); start += stride {
-		out = append(out, inter[start:start+length])
-	}
-	return out
-}
-
 // FirstHours returns a shallow trace view containing only hours [0, h).
 func (t *Trace) FirstHours(h int) *Trace {
 	if h > t.Spec.Hours {

@@ -180,28 +180,6 @@ func TestRateSeries(t *testing.T) {
 	}
 }
 
-func TestSlidingWindows(t *testing.T) {
-	tr := gen(t, "twitter")
-	ws := tr.SlidingWindows(256, 0)
-	if len(ws) == 0 {
-		t.Fatal("no windows")
-	}
-	for _, w := range ws {
-		if len(w) != 256 {
-			t.Fatalf("window length = %d", len(w))
-		}
-	}
-	want := len(tr.Interarrivals()) / 256
-	if len(ws) != want {
-		t.Fatalf("windows = %d, want %d", len(ws), want)
-	}
-	// Overlapping stride produces more windows.
-	ws2 := tr.SlidingWindows(256, 64)
-	if len(ws2) <= len(ws) {
-		t.Fatal("smaller stride should yield more windows")
-	}
-}
-
 func TestFirstLastHours(t *testing.T) {
 	tr := gen(t, "azure")
 	first := tr.FirstHours(12)
